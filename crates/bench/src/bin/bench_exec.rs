@@ -1,34 +1,19 @@
-//! Execution-layer baseline: times the prepared-feature pipeline and
-//! batch scoring of PRM, DESA, and RAPID-pro against the legacy
-//! per-`(ds, input)` path at quick scale, and writes `BENCH_exec.json`
-//! (repo root, the committed gate baseline) plus `telemetry.ndjson` and
-//! a Chrome trace under `--out-dir` from the same `rapid-obs` registry.
-//! With `RAPID_OBS_ADDR=host:port` set, the run also serves live
-//! `/metrics`, `/healthz`, and `/snapshot` endpoints while it executes.
-//!
-//! The "before" numbers reconstruct what the pre-refactor code paid:
-//!
-//! * training rebuilt every list's feature matrix once per epoch (each
-//!   sample sits in exactly one mini-batch per epoch), so the legacy
-//!   train cost is the cached-train cost plus `epochs ×` one full cache
-//!   rebuild;
-//! * inference went through `rerank(ds, input)`, which assembles the
-//!   feature/coverage/novelty state per call — measured here directly
-//!   via the (still supported) legacy shim, sequentially.
-//!
-//! The "after" numbers are the refactored path: one shared
-//! `FeatureCache`, `fit_prepared` on cached lists, and `rerank_batch`
-//! across scoped worker threads. Both inference paths run for real and
-//! the binary asserts their permutations are identical. The recorded
-//! `worker_count` shows how much of the batch-inference gap is
-//! parallelism (on a single-core host it is 1, and the win comes from
-//! the eliminated rebuilds alone).
+//! Execution-layer bench: times PRM, DESA and RAPID-pro on the
+//! prepared-feature path at quick scale (`fit_prepared` on one shared
+//! `FeatureCache`, then `rerank_batch` across scoped worker threads) and
+//! writes `BENCH_exec.json` (repo root, the committed gate baseline)
+//! plus `telemetry.ndjson` and a Chrome trace under `--out-dir` from the
+//! same `rapid-obs` registry. With `RAPID_OBS_ADDR=host:port` set, the
+//! run also serves live `/metrics`, `/healthz`, and `/snapshot`
+//! endpoints while it executes. The recorded `worker_count` shows how
+//! much of the batch-inference time is parallelism (on a single-core
+//! host it is 1). That the prepared path re-ranks exactly like the
+//! per-list path is pinned by `tests/exec_equivalence.rs`.
 //!
 //! Every stage is timed by a `rapid-obs` [`Span`]; the
 //! JSON report derives each figure from the exact `Duration` returned
 //! by `Span::finish()`, so the span totals in `telemetry.ndjson` agree
-//! with `BENCH_exec.json` by construction (the CI gate allows 5% but
-//! single-count spans match exactly).
+//! with `BENCH_exec.json` by construction.
 //!
 //! The run also prices crash safety: RAPID trains once more with
 //! per-epoch atomic checkpoints, recording the write cost
@@ -84,11 +69,6 @@ struct ModelRow {
     name: String,
     train_batches: usize,
     train_cached_ms: f64,
-    /// `epochs ×` one full train-cache rebuild — the feature work the
-    /// old per-epoch path did on top of the same optimizer steps.
-    legacy_feature_rebuild_ms: f64,
-    train_legacy_ms: f64,
-    infer_legacy_seq_ms: f64,
     infer_batch_ms: f64,
 }
 
@@ -103,9 +83,7 @@ struct BenchReport {
     prepare_train_ms: f64,
     prepare_test_ms: f64,
     models: Vec<ModelRow>,
-    total_before_ms: f64,
     total_after_ms: f64,
-    speedup: f64,
     /// Full `Pipeline::evaluate` of the three-model lineup, one model at
     /// a time (the pre-refactor harness shape).
     multi_model_seq_ms: f64,
@@ -165,66 +143,34 @@ fn main() {
     let mut models = lineup(&pipeline, hidden, epochs, cli.seed);
 
     let mut rows = Vec::new();
-    let mut total_before = 0.0;
     let mut total_after = 0.0;
 
     for model in &mut models {
         let name = model.name();
 
-        // After: train on the shared cache.
         let span = Span::enter(&format!("train_cached/{name}"));
         let report = model.fit_prepared(ds, &train_cache);
         let train_cached_ms = ms(span.finish());
 
-        // Before: the same optimizer steps plus the per-epoch feature
-        // rebuild the old fit path performed.
-        let span = Span::enter(&format!("legacy_rebuild/{name}"));
-        for _ in 0..epochs.max(1) {
-            let rebuilt = FeatureCache::from_samples(ds, pipeline.train_samples());
-            std::hint::black_box(&rebuilt);
-        }
-        let legacy_feature_rebuild_ms = ms(span.finish());
-        let train_legacy_ms = train_cached_ms + legacy_feature_rebuild_ms;
-
-        // Before: sequential legacy shim, re-preparing each list.
-        let span = Span::enter(&format!("infer_legacy/{name}"));
-        let legacy_perms: Vec<Vec<usize>> = pipeline
-            .test_inputs()
-            .iter()
-            .map(|input| model.rerank(ds, input))
-            .collect();
-        let infer_legacy_seq_ms = ms(span.finish());
-
-        // After: batch scoring over the prepared cache.
         let span = Span::enter(&format!("infer_batch/{name}"));
-        let batch_perms = model.rerank_batch(ds, &test_cache);
+        std::hint::black_box(model.rerank_batch(ds, &test_cache));
         let infer_batch_ms = ms(span.finish());
 
-        assert_eq!(
-            legacy_perms, batch_perms,
-            "{name}: prepared batch path must match the legacy per-list path"
-        );
-
         println!(
-            "{:<12} train {:>8.1} ms cached / {:>8.1} ms legacy | infer {:>7.1} ms batch / {:>7.1} ms legacy",
-            name, train_cached_ms, train_legacy_ms, infer_batch_ms, infer_legacy_seq_ms
+            "{name:<12} train {train_cached_ms:>8.1} ms | infer {infer_batch_ms:>7.1} ms batch"
         );
 
-        total_before += train_legacy_ms + infer_legacy_seq_ms;
         total_after += train_cached_ms + infer_batch_ms;
         rows.push(ModelRow {
             name: name.to_string(),
             train_batches: report.batches,
             train_cached_ms,
-            legacy_feature_rebuild_ms,
-            train_legacy_ms,
-            infer_legacy_seq_ms,
             infer_batch_ms,
         });
     }
 
     // The shared cache is built once for the whole lineup; charge it to
-    // the "after" total.
+    // the total.
     total_after += prepare_train_ms + prepare_test_ms;
 
     // Multi-model evaluation: the full train + score + metrics harness,
@@ -299,9 +245,7 @@ fn main() {
         prepare_train_ms,
         prepare_test_ms,
         models: rows,
-        total_before_ms: total_before,
         total_after_ms: total_after,
-        speedup: total_before / total_after.max(1e-9),
         multi_model_seq_ms,
         multi_model_par_ms,
         multi_model_speedup: multi_model_seq_ms / multi_model_par_ms.max(1e-9),
@@ -314,8 +258,8 @@ fn main() {
     };
 
     println!(
-        "\nbefore {:.1} ms, after {:.1} ms, speedup {:.2}x ({} workers)",
-        report.total_before_ms, report.total_after_ms, report.speedup, report.worker_count
+        "\ntotal {:.1} ms ({} workers)",
+        report.total_after_ms, report.worker_count
     );
     println!(
         "multi-model eval: {:.1} ms sequential, {:.1} ms fanned, {:.2}x",

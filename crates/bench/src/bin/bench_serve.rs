@@ -223,10 +223,11 @@ fn main() {
         seed: load_cfg.seed ^ 0x5a9,
         ..LoadConfig::default()
     };
-    let dropped_before = rapid_obs::global().snapshot().counter("serve.requests_dropped");
-    let swap_at = std::time::Duration::from_secs_f64(
-        swap_load_cfg.reranks as f64 / swap_load_cfg.qps * 0.3,
-    );
+    let dropped_before = rapid_obs::global()
+        .snapshot()
+        .counter("serve.requests_dropped");
+    let swap_at =
+        std::time::Duration::from_secs_f64(swap_load_cfg.reranks as f64 / swap_load_cfg.qps * 0.3);
     let swap_addr = handle.addr();
     let swapper = std::thread::spawn(move || {
         std::thread::sleep(swap_at);
@@ -234,7 +235,9 @@ fn main() {
     });
     let swap_load = run_load(handle.addr(), &swap_load_cfg);
     let swap_resp = swapper.join().expect("swap thread joins");
-    let dropped_after = rapid_obs::global().snapshot().counter("serve.requests_dropped");
+    let dropped_after = rapid_obs::global()
+        .snapshot()
+        .counter("serve.requests_dropped");
     let (swap_ok, swap_ms) = match &swap_resp {
         Ok(r) if r.status == 200 => {
             let ms = serde_json::parse_value(&r.body)
@@ -299,8 +302,8 @@ fn main() {
     rapid_faults::clear();
     let corrupt_swap_rejected = matches!(&corrupt_resp, Ok(r) if r.status == 409);
     let params_after = state.model().params_bytes();
-    let live_check = Client::new(overload_handle.addr())
-        .post("/rerank", &format!("{{\"user\": {}}}", 7u64));
+    let live_check =
+        Client::new(overload_handle.addr()).post("/rerank", &format!("{{\"user\": {}}}", 7u64));
     let corrupt_swap_live_intact = params_before == params_after
         && matches!(&live_check, Ok(r) if (200..300).contains(&r.status));
     println!(

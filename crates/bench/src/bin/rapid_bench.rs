@@ -1,121 +1,85 @@
-//! `rapid-bench` — harness utility entry point.
-//!
-//! Two modes:
+//! `rapid-bench` — the bench gate.
 //!
 //! ```text
-//! rapid-bench --check [--baseline BENCH_exec.json] [--current BENCH_exec.json]
-//!             [--tolerance 0.25]
+//! rapid-bench --check --baseline PATH [--current BENCH_exec.json]
 //! rapid-bench --check --serve [BENCH_serve.json]
 //! ```
 //!
-//! The first compares the current report's per-model `train_cached_ms`
-//! against the baseline and exits non-zero when any model regressed
-//! beyond the tolerance (default 25%). The second judges a serving
-//! load-test report against *absolute* budgets (rerank p50/p99 ≤ 50 ms,
-//! ≥ 100k distinct users, zero errors of any shape). Malformed or
-//! mismatched reports also exit non-zero, with a distinct message
-//! (exit 2), so CI can't green-wash a broken harness.
+//! The first judges an exec report by `EXEC_BUDGETS` plus one
+//! `train_cached_ms` ceiling per model of the baseline report (25% over
+//! its time); the second judges a serving report by `SERVE_BUDGETS`.
+//! Exit 0 when every budget holds and 1 when any is blown. Bad
+//! arguments, an unreadable or malformed report, and a missing or
+//! mistyped field exit 2, so CI can't green-wash a broken harness.
 
 use std::process::ExitCode;
 
-use rapid_bench::{check_regression, check_serve, DEFAULT_TOLERANCE};
+use rapid_bench::check::{exec_budgets, judge, Budget, Outcome, SERVE_BUDGETS};
+use serde_json::{parse_value, Value};
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: rapid-bench --check --baseline PATH [--current PATH]\n       \
+                     rapid-bench --check --serve [PATH]";
+
+fn read(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_value(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: rapid-bench --check [--baseline PATH] [--current PATH] [--tolerance FRAC]\n\
-                rapid-bench --check --serve [PATH]"
-    );
-    ExitCode::from(2)
+fn judge_file(path: &str, budgets: &[Budget]) -> Result<Outcome, String> {
+    judge(&read(path)?, budgets).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Serve-gate mode: read one `BENCH_serve.json` and judge it against
-/// the absolute serving budgets.
-fn serve_gate(args: &[String]) -> ExitCode {
-    let path = flag_value(args, "--serve")
-        .filter(|v| !v.starts_with("--"))
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let report = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("rapid-bench: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match check_serve(&report) {
-        Ok(outcome) => {
-            println!("serve gate over {path}");
-            print!("{}", outcome.render());
-            if outcome.passed() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
+/// Parses the arguments and judges the report they name; `None` when
+/// the arguments are not a valid invocation.
+fn gate(args: &[String]) -> Option<Result<Outcome, String>> {
+    let mut args = args.iter().map(String::as_str).peekable();
+    let (mut check, mut serve, mut baseline) = (false, None, None);
+    let mut current = "BENCH_exec.json";
+    while let Some(arg) = args.next() {
+        match arg {
+            "--check" => check = true,
+            "--serve" => {
+                let path = args.next_if(|v| !v.starts_with("--"));
+                serve = Some(path.unwrap_or("BENCH_serve.json"));
             }
+            "--baseline" => baseline = Some(args.next()?),
+            "--current" => current = args.next()?,
+            _ => return None,
         }
-        Err(e) => {
-            eprintln!("rapid-bench: {e}");
-            ExitCode::from(2)
+    }
+    match (check, serve, baseline) {
+        (true, Some(path), None) => {
+            println!("serve gate over {path}");
+            Some(judge_file(path, SERVE_BUDGETS))
         }
+        (true, None, Some(base)) => {
+            println!("comparing {current} against baseline {base}");
+            let budgets =
+                read(base).and_then(|b| exec_budgets(&b).map_err(|e| format!("{base}: {e}")));
+            Some(budgets.and_then(|budgets| judge_file(current, &budgets)))
+        }
+        _ => None,
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if !args.iter().any(|a| a == "--check") {
-        return usage();
-    }
-    if args.iter().any(|a| a == "--serve") {
-        return serve_gate(&args);
-    }
-    let baseline_path =
-        flag_value(&args, "--baseline").unwrap_or_else(|| "BENCH_exec.json".to_string());
-    let current_path =
-        flag_value(&args, "--current").unwrap_or_else(|| "BENCH_exec.json".to_string());
-    let tolerance = match flag_value(&args, "--tolerance") {
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(t) if t >= 0.0 => t,
-            _ => {
-                eprintln!("rapid-bench: invalid --tolerance {raw:?} (want a fraction like 0.25)");
-                return ExitCode::from(2);
-            }
-        },
-        None => DEFAULT_TOLERANCE,
-    };
-
-    let read = |path: &str| {
-        std::fs::read_to_string(path).map_err(|e| format!("rapid-bench: cannot read {path}: {e}"))
-    };
-    let (baseline, current) = match (read(&baseline_path), read(&current_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+    match gate(&args) {
+        None => {
+            eprintln!("{USAGE}");
+            ExitCode::from(2)
         }
-    };
-
-    match check_regression(&baseline, &current, tolerance) {
-        Ok(outcome) => {
-            println!(
-                "comparing {current_path} against baseline {baseline_path} \
-                 (tolerance {:.0}%)",
-                tolerance * 100.0
-            );
+        Some(Err(e)) => {
+            eprintln!("rapid-bench: {e}");
+            ExitCode::from(2)
+        }
+        Some(Ok(outcome)) => {
             print!("{}", outcome.render());
             if outcome.passed() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
             }
-        }
-        Err(e) => {
-            eprintln!("rapid-bench: {e}");
-            ExitCode::from(2)
         }
     }
 }

@@ -1,997 +1,494 @@
-//! Bench-regression gate: compares a freshly produced `BENCH_exec.json`
-//! against a committed baseline and fails on a per-model
-//! `train_cached_ms` regression beyond a tolerance.
+//! Bench gate: judges a `BENCH_*.json` report against a table of
+//! budgets.
 //!
-//! The gate is deliberately narrow: wall-clock totals and inference
-//! figures bounce with CI load, but cached training time is dominated
-//! by deterministic optimizer work (same seed, same batch count), so a
-//! large ratio there means real regression rather than noise. The
-//! default tolerance is 25%.
+//! Each report has one table of [`Budget`] rows, a field and the
+//! [`Bound`] its value must meet, and [`judge`] reads every row's field
+//! from the parsed report, so a new budget is one table line. Every
+//! budgeted field is required: a missing or mistyped field is a harness
+//! error (`Err`), never a pass, and NaN meets no bound.
 //!
-//! The gate additionally bounds *checkpointing overhead*: the current
-//! report's `ckpt_overhead_frac` (time spent in atomic checkpoint
-//! writes as a fraction of the checkpointed training wall-clock) must
-//! stay under [`MAX_CKPT_OVERHEAD_FRAC`]. This is an absolute budget
-//! rather than a baseline ratio — the write cost is measured against
-//! the *same run's* training time, which cancels host-speed noise —
-//! and reports that predate the field (older baselines) are tolerated.
+//! * [`EXEC_BUDGETS`] bounds `BENCH_exec.json` by the run itself, and
+//!   [`exec_budgets`] adds one `train_cached_ms` ceiling per model of a
+//!   committed baseline, [`TRAIN_TOLERANCE`] above the baseline's time.
+//!   Wall-clock totals and inference figures bounce with CI load, but
+//!   cached training time is dominated by deterministic optimizer work
+//!   (same seed, same batch count), so a large ratio there means a real
+//!   regression rather than noise.
+//! * [`SERVE_BUDGETS`] bounds `BENCH_serve.json` absolutely: the 50 ms
+//!   live-serving bar, zero errors of any shape, and the observability
+//!   and resilience scenarios the serving bench runs.
 
-use serde_json::{parse_value, Value};
+use std::borrow::Cow;
+use std::fmt;
 
-/// Default allowed per-model `train_cached_ms` growth (25%).
-pub const DEFAULT_TOLERANCE: f64 = 0.25;
+use serde_json::Value;
 
-/// Ceiling on `ckpt_overhead_frac`: per-epoch checkpointing may cost at
-/// most 5% of the training wall-clock it protects.
-pub const MAX_CKPT_OVERHEAD_FRAC: f64 = 0.05;
+use Bound::{AtLeast, AtMost, IsTrue, Within};
 
-/// One model's baseline-vs-current comparison.
-#[derive(Debug, Clone)]
-pub struct ModelDelta {
-    /// Model display name (`models[].name` in the report).
-    pub name: String,
-    /// Baseline `train_cached_ms`.
-    pub baseline_ms: f64,
-    /// Current `train_cached_ms`.
-    pub current_ms: f64,
-    /// `current / baseline` (`f64::INFINITY` when the baseline is 0
-    /// and the current is not).
-    pub ratio: f64,
-    /// Whether this model exceeds the tolerance.
-    pub regressed: bool,
+/// What a budgeted value must meet. Numeric bounds are inclusive.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// A number no greater than this.
+    AtMost(f64),
+    /// A number no smaller than this.
+    AtLeast(f64),
+    /// A number in this closed range.
+    Within(f64, f64),
+    /// The boolean `true`.
+    IsTrue,
 }
 
-/// Outcome of a baseline comparison: per-model rows plus verdict.
-#[derive(Debug, Clone)]
-pub struct CheckOutcome {
-    /// One row per baseline model, in baseline order.
-    pub deltas: Vec<ModelDelta>,
-    /// The tolerance the rows were judged against.
-    pub tolerance: f64,
-    /// The current report's `ckpt_overhead_frac`, when it carries one
-    /// (reports predating the checkpoint bench have no such field).
-    pub ckpt_overhead_frac: Option<f64>,
-    /// Whether the checkpoint-overhead budget was blown.
-    pub ckpt_regressed: bool,
-}
-
-impl CheckOutcome {
-    /// `true` when no model regressed and the checkpoint-overhead
-    /// budget held.
-    pub fn passed(&self) -> bool {
-        self.deltas.iter().all(|d| !d.regressed) && !self.ckpt_regressed
-    }
-
-    /// Human-readable per-model table plus verdict line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<12} {:>12} {:>12} {:>8}  verdict\n",
-            "model", "baseline_ms", "current_ms", "ratio"
-        ));
-        for d in &self.deltas {
-            out.push_str(&format!(
-                "{:<12} {:>12.1} {:>12.1} {:>7.2}x  {}\n",
-                d.name,
-                d.baseline_ms,
-                d.current_ms,
-                d.ratio,
-                if d.regressed { "REGRESSED" } else { "ok" }
-            ));
-        }
-        match self.ckpt_overhead_frac {
-            Some(frac) => out.push_str(&format!(
-                "checkpoint overhead: {:.2}% of train wall-clock (budget {:.0}%)  {}\n",
-                frac * 100.0,
-                MAX_CKPT_OVERHEAD_FRAC * 100.0,
-                if self.ckpt_regressed {
-                    "OVER BUDGET"
-                } else {
-                    "ok"
-                }
-            )),
-            None => out.push_str("checkpoint overhead: not reported (pre-checkpoint bench)\n"),
-        }
-        let verdict = if self.passed() {
-            format!(
-                "PASS: all models within {:.0}% of baseline train_cached_ms",
-                self.tolerance * 100.0
-            )
-        } else if self.deltas.iter().any(|d| d.regressed) {
-            format!(
-                "FAIL: train_cached_ms regression beyond {:.0}% tolerance",
-                self.tolerance * 100.0
-            )
-        } else {
-            format!(
-                "FAIL: checkpoint overhead above the {:.0}% budget",
-                MAX_CKPT_OVERHEAD_FRAC * 100.0
-            )
-        };
-        out.push_str(&verdict);
-        out.push('\n');
-        out
+impl Bound {
+    /// Whether `value` meets this bound. NaN meets no numeric bound, and
+    /// a value of the wrong JSON type is an error.
+    fn admits(self, value: &Value) -> Result<bool, String> {
+        let number = || value.as_f64().map_err(|e| e.to_string());
+        Ok(match self {
+            AtMost(max) => number()? <= max,
+            AtLeast(min) => number()? >= min,
+            Within(lo, hi) => (lo..=hi).contains(&number()?),
+            IsTrue => value.as_bool().map_err(|e| e.to_string())?,
+        })
     }
 }
 
-/// Extracts `name → train_cached_ms` from a `BENCH_exec.json` document.
-fn model_times(doc: &Value, label: &str) -> Result<Vec<(String, f64)>, String> {
-    let models = doc.field("models").map_err(|e| format!("{label}: {e}"))?;
-    let Value::Array(rows) = models else {
-        return Err(format!("{label}: `models` is not an array"));
-    };
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let name = row
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            AtMost(max) => write!(f, "<= {}", number(max)),
+            AtLeast(min) => write!(f, ">= {}", number(min)),
+            Within(lo, hi) => write!(f, "{}..={}", number(lo), number(hi)),
+            IsTrue => f.write_str("== true"),
+        }
+    }
+}
+
+/// A number with at most four decimals and no trailing zeros.
+fn number(x: f64) -> String {
+    let s = format!("{x:.4}");
+    s.trim_end_matches('0').trim_end_matches('.').to_string()
+}
+
+/// One gated field of a report and the bound its value must meet.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Budget {
+    /// Where the value sits: `.`-separated object keys, where a key
+    /// applied to an array picks the element whose `name` equals it
+    /// (`models.PRM.train_cached_ms`).
+    pub field: Cow<'static, str>,
+    /// The bound the value must meet.
+    pub bound: Bound,
+}
+
+const fn budget(field: &'static str, bound: Bound) -> Budget {
+    Budget {
+        field: Cow::Borrowed(field),
+        bound,
+    }
+}
+
+/// Allowed growth of each model's `train_cached_ms` over the baseline's.
+pub const TRAIN_TOLERANCE: f64 = 0.25;
+
+/// Budgets a `BENCH_exec.json` report is judged by on its own.
+pub const EXEC_BUDGETS: &[Budget] = &[
+    // Per-epoch atomic checkpoint writes cost at most 5% of the
+    // training wall-clock they protect, measured in the same run.
+    budget("ckpt_overhead_frac", AtMost(0.05)),
+];
+
+/// Budgets of a `BENCH_serve.json` report, all absolute.
+pub const SERVE_BUDGETS: &[Budget] = &[
+    // The ingest phase drove at least 100k distinct users.
+    budget("distinct_users", AtLeast(100_000.0)),
+    // The 50 ms live-serving bar, timed open-loop from each request's
+    // scheduled send, so queueing counts.
+    budget("rerank_p50_ms", AtMost(50.0)),
+    budget("rerank_p99_ms", AtMost(50.0)),
+    // No error of any shape: non-2xx, transport, degraded or fallback
+    // reranks, handler panics, fault-dropped connections.
+    budget("non_2xx", AtMost(0.0)),
+    budget("transport_errors", AtMost(0.0)),
+    budget("degraded_requests", AtMost(0.0)),
+    budget("fallback_requests", AtMost(0.0)),
+    budget("panics", AtMost(0.0)),
+    budget("requests_dropped", AtMost(0.0)),
+    // Tracing slows the rerank hot path by at most 5% (the run's own
+    // traced-vs-untraced pass); at least one tail exemplar's span tree
+    // crosses serve → model → exec, and its top-level stages sum to
+    // within 10% of the request's latency; no SLO budget ran out.
+    budget("trace_overhead_frac", AtMost(0.05)),
+    budget("tail_exemplars", AtLeast(1.0)),
+    budget("exemplar_span_frac", Within(0.9, 1.1)),
+    budget("slo_exhausted", AtMost(0.0)),
+    // A mid-load hot swap answers 2xx and disrupts no request.
+    budget("swap_ok", IsTrue),
+    budget("swap_disruptions", AtMost(0.0)),
+    // Past capacity, 2xx goodput keeps the latency bar, shedding
+    // engages, and no 2xx answer misses its deadline.
+    budget("overload_goodput_p99_ms", AtMost(50.0)),
+    budget("overload_shed", AtLeast(1.0)),
+    budget("deadline_miss_2xx", AtMost(0.0)),
+    // A corrupted artifact is rejected and the live model keeps
+    // serving with its parameters unchanged.
+    budget("corrupt_swap_rejected", IsTrue),
+    budget("corrupt_swap_live_intact", IsTrue),
+];
+
+/// The exec gate's table for a baseline report: [`EXEC_BUDGETS`] plus,
+/// per baseline model, `train_cached_ms` at most [`TRAIN_TOLERANCE`]
+/// above the baseline's.
+pub fn exec_budgets(baseline: &Value) -> Result<Vec<Budget>, String> {
+    let models = baseline
+        .field("models")
+        .and_then(Value::as_array)
+        .map_err(|e| e.to_string())?;
+    if models.is_empty() {
+        return Err("`models` is empty".to_string());
+    }
+    let mut budgets = EXEC_BUDGETS.to_vec();
+    for model in models {
+        let name = model
             .field("name")
-            .and_then(|v| v.as_str().map(str::to_string))
-            .map_err(|e| format!("{label}: models[{i}]: {e}"))?;
-        let t = row
-            .field("train_cached_ms")
-            .and_then(|v| v.as_f64())
-            .map_err(|e| format!("{label}: models[{i}]: {e}"))?;
-        out.push((name, t));
-    }
-    if out.is_empty() {
-        return Err(format!("{label}: `models` is empty"));
-    }
-    Ok(out)
-}
-
-/// Compares two `BENCH_exec.json` documents (baseline, current) and
-/// judges each baseline model's `train_cached_ms` against
-/// `baseline × (1 + tolerance)`.
-///
-/// Errors (rather than failing the gate) on malformed JSON, missing
-/// fields, or a current report that lacks one of the baseline's models
-/// — those are harness breakages, not perf regressions, and the caller
-/// should surface them as such.
-pub fn check_regression(
-    baseline_json: &str,
-    current_json: &str,
-    tolerance: f64,
-) -> Result<CheckOutcome, String> {
-    let baseline = parse_value(baseline_json).map_err(|e| format!("baseline: {e}"))?;
-    let current = parse_value(current_json).map_err(|e| format!("current: {e}"))?;
-    let baseline_models = model_times(&baseline, "baseline")?;
-    let current_models = model_times(&current, "current")?;
-
-    let mut deltas = Vec::with_capacity(baseline_models.len());
-    for (name, baseline_ms) in baseline_models {
-        let current_ms = current_models
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, t)| t)
-            .ok_or_else(|| format!("current: model `{name}` missing from report"))?;
-        let ratio = if baseline_ms > 0.0 {
-            current_ms / baseline_ms
-        } else if current_ms > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        };
-        deltas.push(ModelDelta {
-            name,
-            baseline_ms,
-            current_ms,
-            regressed: ratio > 1.0 + tolerance,
-            ratio,
+            .and_then(Value::as_str)
+            .map_err(|e| format!("models: {e}"))?;
+        let field = format!("models.{name}.train_cached_ms");
+        let ms = lookup(baseline, &field)?
+            .as_f64()
+            .map_err(|e| format!("{field}: {e}"))?;
+        budgets.push(Budget {
+            field: field.into(),
+            bound: AtMost(ms * (1.0 + TRAIN_TOLERANCE)),
         });
     }
+    Ok(budgets)
+}
 
-    // The checkpoint-overhead budget judges the current run against
-    // itself; the baseline is not consulted, so pre-checkpoint baselines
-    // keep working. A current report without the field is tolerated too
-    // (it predates the checkpoint bench).
-    let ckpt_overhead_frac = current
-        .field("ckpt_overhead_frac")
-        .ok()
-        .and_then(|v| v.as_f64().ok());
-    let ckpt_regressed = ckpt_overhead_frac.is_some_and(|f| f > MAX_CKPT_OVERHEAD_FRAC);
-
-    Ok(CheckOutcome {
-        deltas,
-        tolerance,
-        ckpt_overhead_frac,
-        ckpt_regressed,
+/// Reads the value at a [`Budget::field`] path.
+fn lookup<'v>(report: &'v Value, path: &str) -> Result<&'v Value, String> {
+    path.split('.').try_fold(report, |node, key| match node {
+        Value::Array(rows) => rows
+            .iter()
+            .find(|row| {
+                row.field("name")
+                    .and_then(Value::as_str)
+                    .is_ok_and(|name| name == key)
+            })
+            .ok_or_else(|| format!("{path}: no entry named `{key}`")),
+        _ => node.field(key).map_err(|e| format!("{path}: {e}")),
     })
 }
 
-/// Absolute budget (ms) on the serve bench's recorded rerank p50 —
-/// the acceptance bar for a 1-core bench host.
-pub const MAX_SERVE_P50_MS: f64 = 50.0;
-
-/// Absolute budget (ms) on the serve bench's recorded rerank p99.
-pub const MAX_SERVE_P99_MS: f64 = 50.0;
-
-/// Floor on the distinct simulated users the load phase must have
-/// driven through `/events` before the rerank phase was timed.
-pub const MIN_SERVE_DISTINCT_USERS: u64 = 100_000;
-
-/// Ceiling on `trace_overhead_frac`: request tracing (id mint, stage
-/// recording, exemplar bookkeeping) may slow the serving hot path by at
-/// most 5% against the same run's untraced A/B pass.
-pub const MAX_TRACE_OVERHEAD_FRAC: f64 = 0.05;
-
-/// Bounds on `exemplar_span_frac`: a retained tail exemplar's top-level
-/// stage durations must sum to within 10% of the measured request
-/// latency — otherwise the span tree is lying about where time went.
-pub const MIN_EXEMPLAR_SPAN_FRAC: f64 = 0.9;
-/// Upper bound companion to [`MIN_EXEMPLAR_SPAN_FRAC`].
-pub const MAX_EXEMPLAR_SPAN_FRAC: f64 = 1.1;
-
-/// Outcome of the serving gate over a `BENCH_serve.json` report.
-///
-/// Unlike [`check_regression`], every budget here is *absolute*: the
-/// latency bar is part of the acceptance criteria (not a ratio against
-/// a baseline host), and the error-shaped counters (`non_2xx`,
-/// transport errors, degraded/fallback reranks, panics, fault drops)
-/// must be exactly zero for the run to count at all.
+/// One budget as judged: the value read and whether it met the bound.
 #[derive(Debug, Clone)]
-pub struct ServeCheckOutcome {
-    /// Distinct simulated users the generator ingested.
-    pub distinct_users: u64,
-    /// Recorded rerank latency p50, milliseconds (open-loop: queueing
-    /// delay counts against it).
-    pub p50_ms: f64,
-    /// Recorded rerank latency p99, milliseconds.
-    pub p99_ms: f64,
-    /// Responses with a non-2xx status across both phases.
-    pub non_2xx: u64,
-    /// Client-side connect/read/write failures.
-    pub transport_errors: u64,
-    /// `exec.degraded_requests` observed during the run.
-    pub degraded_requests: u64,
-    /// `exec.fallback_requests` (identity-permutation fallbacks).
-    pub fallback_requests: u64,
-    /// Request handlers that panicked (`serve.panics`).
-    pub panics: u64,
-    /// Connections dropped by fault injection (`serve.requests_dropped`)
-    /// — must be zero because the bench runs with faults off.
-    pub requests_dropped: u64,
-    /// Tracing's measured slowdown on the rerank hot path, from the
-    /// run's own traced-vs-untraced A/B pass. `None` for reports
-    /// predating the tracing bench.
-    pub trace_overhead_frac: Option<f64>,
-    /// Tail exemplars whose span tree crosses serve → model → exec
-    /// stages. `None` for pre-tracing reports.
-    pub tail_exemplars: Option<u64>,
-    /// Top-level stage duration sum over measured latency for the
-    /// slowest crossing exemplar. `None` for pre-tracing reports.
-    pub exemplar_span_frac: Option<f64>,
-    /// Declared SLOs whose error budget was exhausted during the run.
-    /// `None` for pre-SLO reports.
-    pub slo_exhausted: Option<u64>,
-    /// Mid-run `/admin/reload` answered 2xx under load. `None` for
-    /// pre-resilience reports.
-    pub swap_ok: Option<bool>,
-    /// Disruptions (non-2xx + sheds + transport errors + drops) during
-    /// the hot-swap-under-load phase. `None` for pre-resilience
-    /// reports.
-    pub swap_disruptions: Option<u64>,
-    /// 2xx goodput p99 (ms, from send) while offered QPS ramped past
-    /// capacity. `None` for pre-resilience reports.
-    pub overload_goodput_p99_ms: Option<f64>,
-    /// Shed responses during the overload ramp — shedding must engage.
-    /// `None` for pre-resilience reports.
-    pub overload_shed: Option<u64>,
-    /// 2xx responses that finished past their deadline budget, any
-    /// phase. `None` for pre-resilience reports.
-    pub deadline_miss_2xx: Option<u64>,
-    /// Corrupted-artifact `/admin/reload` was rejected. `None` for
-    /// pre-resilience reports.
-    pub corrupt_swap_rejected: Option<bool>,
-    /// Live model kept serving with byte-identical parameters after
-    /// the rejected swap. `None` for pre-resilience reports.
-    pub corrupt_swap_live_intact: Option<bool>,
-    /// One line per blown budget, empty on a clean pass.
-    pub failures: Vec<String>,
+pub struct Row {
+    /// The budget judged.
+    pub budget: Budget,
+    /// The value read from the report.
+    pub value: Value,
+    /// Whether the value met the bound.
+    pub ok: bool,
 }
 
-impl ServeCheckOutcome {
-    /// `true` when every absolute budget held.
+/// A report judged against a table: one row per budget, in table order.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// The judged rows.
+    pub rows: Vec<Row>,
+}
+
+impl Outcome {
+    /// `true` when every budget held.
     pub fn passed(&self) -> bool {
-        self.failures.is_empty()
+        self.rows.iter().all(|r| r.ok)
     }
 
-    /// Human-readable budget table plus verdict line.
+    /// The table of rows plus a verdict line.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<18} {:>14} {:>14}  verdict\n",
-            "metric", "value", "budget"
-        ));
-        let row = |out: &mut String, name: &str, value: String, budget: String, ok: bool| {
+        let width = self
+            .rows
+            .iter()
+            .map(|r| r.budget.field.len())
+            .fold("field".len(), usize::max);
+        let mut out = format!(
+            "{:<width$} {:>12} {:>14}  verdict\n",
+            "field", "value", "bound"
+        );
+        for row in &self.rows {
+            let value = match row.value {
+                Value::Bool(b) => b.to_string(),
+                ref v => v.as_f64().map_or_else(|e| e.to_string(), number),
+            };
             out.push_str(&format!(
-                "{name:<18} {value:>14} {budget:>14}  {}\n",
-                if ok { "ok" } else { "OVER BUDGET" }
+                "{:<width$} {value:>12} {:>14}  {}\n",
+                row.budget.field,
+                row.budget.bound.to_string(),
+                if row.ok { "ok" } else { "FAIL" }
             ));
-        };
-        row(
-            &mut out,
-            "distinct_users",
-            format!("{}", self.distinct_users),
-            format!(">= {MIN_SERVE_DISTINCT_USERS}"),
-            self.distinct_users >= MIN_SERVE_DISTINCT_USERS,
-        );
-        row(
-            &mut out,
-            "rerank_p50_ms",
-            format!("{:.3}", self.p50_ms),
-            format!("<= {MAX_SERVE_P50_MS}"),
-            !self.p50_ms.is_nan() && self.p50_ms <= MAX_SERVE_P50_MS,
-        );
-        row(
-            &mut out,
-            "rerank_p99_ms",
-            format!("{:.3}", self.p99_ms),
-            format!("<= {MAX_SERVE_P99_MS}"),
-            !self.p99_ms.is_nan() && self.p99_ms <= MAX_SERVE_P99_MS,
-        );
-        for (name, v) in [
-            ("non_2xx", self.non_2xx),
-            ("transport_errors", self.transport_errors),
-            ("degraded_requests", self.degraded_requests),
-            ("fallback_requests", self.fallback_requests),
-            ("panics", self.panics),
-            ("requests_dropped", self.requests_dropped),
-        ] {
-            row(&mut out, name, format!("{v}"), "== 0".to_string(), v == 0);
         }
-        match self.trace_overhead_frac {
-            Some(f) => row(
-                &mut out,
-                "trace_overhead",
-                format!("{:.2}%", f * 100.0),
-                format!("<= {:.0}%", MAX_TRACE_OVERHEAD_FRAC * 100.0),
-                !f.is_nan() && f <= MAX_TRACE_OVERHEAD_FRAC,
-            ),
-            None => out.push_str("trace_overhead     not reported (pre-tracing bench)\n"),
-        }
-        match self.tail_exemplars {
-            Some(n) => row(
-                &mut out,
-                "tail_exemplars",
-                format!("{n}"),
-                ">= 1".to_string(),
-                n >= 1,
-            ),
-            None => out.push_str("tail_exemplars     not reported (pre-tracing bench)\n"),
-        }
-        match self.exemplar_span_frac {
-            Some(f) => row(
-                &mut out,
-                "exemplar_span_frac",
-                format!("{f:.3}"),
-                format!("{MIN_EXEMPLAR_SPAN_FRAC}..{MAX_EXEMPLAR_SPAN_FRAC}"),
-                !f.is_nan() && (MIN_EXEMPLAR_SPAN_FRAC..=MAX_EXEMPLAR_SPAN_FRAC).contains(&f),
-            ),
-            None => out.push_str("exemplar_span_frac not reported (pre-tracing bench)\n"),
-        }
-        match self.slo_exhausted {
-            Some(n) => row(
-                &mut out,
-                "slo_exhausted",
-                format!("{n}"),
-                "== 0".to_string(),
-                n == 0,
-            ),
-            None => out.push_str("slo_exhausted      not reported (pre-SLO bench)\n"),
-        }
-        let pre_resilience = "not reported (pre-resilience bench)";
-        match self.swap_ok {
-            Some(ok) => row(
-                &mut out,
-                "swap_ok",
-                format!("{ok}"),
-                "== true".to_string(),
-                ok,
-            ),
-            None => out.push_str(&format!("swap_ok            {pre_resilience}\n")),
-        }
-        match self.swap_disruptions {
-            Some(n) => row(
-                &mut out,
-                "swap_disruptions",
-                format!("{n}"),
-                "== 0".to_string(),
-                n == 0,
-            ),
-            None => out.push_str(&format!("swap_disruptions   {pre_resilience}\n")),
-        }
-        match self.overload_goodput_p99_ms {
-            Some(f) => row(
-                &mut out,
-                "overload_p99_ms",
-                format!("{f:.3}"),
-                format!("<= {MAX_SERVE_P99_MS}"),
-                !f.is_nan() && f <= MAX_SERVE_P99_MS,
-            ),
-            None => out.push_str(&format!("overload_p99_ms    {pre_resilience}\n")),
-        }
-        match self.overload_shed {
-            Some(n) => row(
-                &mut out,
-                "overload_shed",
-                format!("{n}"),
-                ">= 1".to_string(),
-                n >= 1,
-            ),
-            None => out.push_str(&format!("overload_shed      {pre_resilience}\n")),
-        }
-        match self.deadline_miss_2xx {
-            Some(n) => row(
-                &mut out,
-                "deadline_miss_2xx",
-                format!("{n}"),
-                "== 0".to_string(),
-                n == 0,
-            ),
-            None => out.push_str(&format!("deadline_miss_2xx  {pre_resilience}\n")),
-        }
-        match self.corrupt_swap_rejected {
-            Some(ok) => row(
-                &mut out,
-                "corrupt_rejected",
-                format!("{ok}"),
-                "== true".to_string(),
-                ok,
-            ),
-            None => out.push_str(&format!("corrupt_rejected   {pre_resilience}\n")),
-        }
-        match self.corrupt_swap_live_intact {
-            Some(ok) => row(
-                &mut out,
-                "live_intact",
-                format!("{ok}"),
-                "== true".to_string(),
-                ok,
-            ),
-            None => out.push_str(&format!("live_intact        {pre_resilience}\n")),
-        }
-        if self.passed() {
-            out.push_str("PASS: serve budgets held\n");
+        let blown = self.rows.iter().filter(|r| !r.ok).count();
+        if blown == 0 {
+            out.push_str(&format!("PASS: all {} budgets held\n", self.rows.len()));
         } else {
             out.push_str(&format!(
-                "FAIL: {} serve budget(s) blown\n",
-                self.failures.len()
+                "FAIL: {blown} of {} budgets blown\n",
+                self.rows.len()
             ));
-            for f in &self.failures {
-                out.push_str(&format!("  - {f}\n"));
-            }
         }
         out
     }
 }
 
-/// Judges a `BENCH_serve.json` report against the absolute serving
-/// budgets: latency p50/p99 within [`MAX_SERVE_P50_MS`] /
-/// [`MAX_SERVE_P99_MS`], at least [`MIN_SERVE_DISTINCT_USERS`] distinct
-/// users ingested, and zero errors of any shape (non-2xx, transport,
-/// degraded/fallback reranks, handler panics, fault drops).
-///
-/// Reports from the tracing-era bench additionally carry observability
-/// budgets, each judged against the run itself and skipped when the
-/// field is absent: tracing overhead within
-/// [`MAX_TRACE_OVERHEAD_FRAC`], at least one cross-stage tail
-/// exemplar whose top-level stages sum to within
-/// [`MIN_EXEMPLAR_SPAN_FRAC`]..[`MAX_EXEMPLAR_SPAN_FRAC`] of the
-/// measured latency, and zero exhausted SLO error budgets.
-///
-/// Resilience-era reports additionally carry the overload budgets,
-/// likewise skipped when absent: the mid-run hot swap answered 2xx
-/// with zero disrupted requests, shedding engaged (`> 0`) during the
-/// overload ramp while 2xx goodput p99 held ≤ [`MAX_SERVE_P99_MS`],
-/// zero 2xx responses past their deadline, and the corrupted-artifact
-/// swap rejected with the live model untouched.
-///
-/// Errors (rather than failing the gate) on malformed JSON or missing
-/// fields — harness breakage, not a budget violation — mirroring
-/// [`check_regression`]'s contract so CI can't green-wash a broken run.
-pub fn check_serve(current_json: &str) -> Result<ServeCheckOutcome, String> {
-    let doc = parse_value(current_json).map_err(|e| format!("serve report: {e}"))?;
-    let u64_field = |name: &str| -> Result<u64, String> {
-        doc.field(name)
-            .and_then(|v| v.as_u64())
-            .map_err(|e| format!("serve report: {name}: {e}"))
-    };
-    let f64_field = |name: &str| -> Result<f64, String> {
-        doc.field(name)
-            .and_then(|v| v.as_f64())
-            .map_err(|e| format!("serve report: {name}: {e}"))
-    };
-
-    // The trace/SLO fields judge the run against itself and are
-    // tolerated when absent — mirroring `ckpt_overhead_frac` — so
-    // pre-tracing reports keep parsing.
-    let opt_f64 = |name: &str| doc.field(name).ok().and_then(|v| v.as_f64().ok());
-    let opt_u64 = |name: &str| doc.field(name).ok().and_then(|v| v.as_u64().ok());
-    let opt_bool = |name: &str| doc.field(name).ok().and_then(|v| v.as_bool().ok());
-
-    let outcome = ServeCheckOutcome {
-        distinct_users: u64_field("distinct_users")?,
-        p50_ms: f64_field("rerank_p50_ms")?,
-        p99_ms: f64_field("rerank_p99_ms")?,
-        non_2xx: u64_field("non_2xx")?,
-        transport_errors: u64_field("transport_errors")?,
-        degraded_requests: u64_field("degraded_requests")?,
-        fallback_requests: u64_field("fallback_requests")?,
-        panics: u64_field("panics")?,
-        requests_dropped: u64_field("requests_dropped")?,
-        trace_overhead_frac: opt_f64("trace_overhead_frac"),
-        tail_exemplars: opt_u64("tail_exemplars"),
-        exemplar_span_frac: opt_f64("exemplar_span_frac"),
-        slo_exhausted: opt_u64("slo_exhausted"),
-        swap_ok: opt_bool("swap_ok"),
-        swap_disruptions: opt_u64("swap_disruptions"),
-        overload_goodput_p99_ms: opt_f64("overload_goodput_p99_ms"),
-        overload_shed: opt_u64("overload_shed"),
-        deadline_miss_2xx: opt_u64("deadline_miss_2xx"),
-        corrupt_swap_rejected: opt_bool("corrupt_swap_rejected"),
-        corrupt_swap_live_intact: opt_bool("corrupt_swap_live_intact"),
-        failures: Vec::new(),
-    };
-
-    let mut failures = Vec::new();
-    if outcome.distinct_users < MIN_SERVE_DISTINCT_USERS {
-        failures.push(format!(
-            "distinct_users {} below the {MIN_SERVE_DISTINCT_USERS} floor",
-            outcome.distinct_users
-        ));
-    }
-    // NaN (an empty latency sample) must fail, never slip through.
-    if outcome.p50_ms.is_nan() || outcome.p50_ms > MAX_SERVE_P50_MS {
-        failures.push(format!(
-            "rerank p50 {:.3} ms over the {MAX_SERVE_P50_MS} ms budget",
-            outcome.p50_ms
-        ));
-    }
-    if outcome.p99_ms.is_nan() || outcome.p99_ms > MAX_SERVE_P99_MS {
-        failures.push(format!(
-            "rerank p99 {:.3} ms over the {MAX_SERVE_P99_MS} ms budget",
-            outcome.p99_ms
-        ));
-    }
-    for (name, v) in [
-        ("non_2xx responses", outcome.non_2xx),
-        ("transport errors", outcome.transport_errors),
-        ("degraded reranks", outcome.degraded_requests),
-        ("fallback reranks", outcome.fallback_requests),
-        ("handler panics", outcome.panics),
-        ("fault-dropped requests", outcome.requests_dropped),
-    ] {
-        if v != 0 {
-            failures.push(format!("{v} {name} (budget is exactly 0)"));
-        }
-    }
-    if let Some(f) = outcome.trace_overhead_frac {
-        if f.is_nan() || f > MAX_TRACE_OVERHEAD_FRAC {
-            failures.push(format!(
-                "trace overhead {:.2}% over the {:.0}% budget",
-                f * 100.0,
-                MAX_TRACE_OVERHEAD_FRAC * 100.0
-            ));
-        }
-    }
-    if let Some(n) = outcome.tail_exemplars {
-        if n == 0 {
-            failures.push(
-                "no tail exemplar crossed serve → model → exec stages (need at least 1)"
-                    .to_string(),
-            );
-        }
-    }
-    if let Some(f) = outcome.exemplar_span_frac {
-        if f.is_nan() || !(MIN_EXEMPLAR_SPAN_FRAC..=MAX_EXEMPLAR_SPAN_FRAC).contains(&f) {
-            failures.push(format!(
-                "exemplar stage sum is {f:.3} of request latency \
-                 (must be {MIN_EXEMPLAR_SPAN_FRAC}..{MAX_EXEMPLAR_SPAN_FRAC})"
-            ));
-        }
-    }
-    if let Some(n) = outcome.slo_exhausted {
-        if n != 0 {
-            failures.push(format!(
-                "{n} SLO error budget(s) exhausted during the run (budget is exactly 0)"
-            ));
-        }
-    }
-    if outcome.swap_ok == Some(false) {
-        failures.push("mid-run /admin/reload did not answer 2xx under load".to_string());
-    }
-    if let Some(n) = outcome.swap_disruptions {
-        if n != 0 {
-            failures.push(format!(
-                "{n} request(s) disrupted during the hot swap (budget is exactly 0)"
-            ));
-        }
-    }
-    if let Some(f) = outcome.overload_goodput_p99_ms {
-        if f.is_nan() || f > MAX_SERVE_P99_MS {
-            failures.push(format!(
-                "overload goodput p99 {f:.3} ms over the {MAX_SERVE_P99_MS} ms budget \
-                 (shedding failed to protect served requests)"
-            ));
-        }
-    }
-    if outcome.overload_shed == Some(0) {
-        failures.push(
-            "no requests shed while offered QPS exceeded capacity (shedding never engaged)"
-                .to_string(),
-        );
-    }
-    if let Some(n) = outcome.deadline_miss_2xx {
-        if n != 0 {
-            failures.push(format!(
-                "{n} 2xx response(s) finished past their deadline (budget is exactly 0)"
-            ));
-        }
-    }
-    if outcome.corrupt_swap_rejected == Some(false) {
-        failures.push("corrupted-checkpoint /admin/reload was not rejected".to_string());
-    }
-    if outcome.corrupt_swap_live_intact == Some(false) {
-        failures.push(
-            "live model disturbed by the rejected swap (params changed or 2xx stopped)"
-                .to_string(),
-        );
-    }
-
-    Ok(ServeCheckOutcome {
-        failures,
-        ..outcome
-    })
+/// Judges `report` against `budgets`. A missing or mistyped field is an
+/// error naming it: a broken harness, not a blown budget.
+pub fn judge(report: &Value, budgets: &[Budget]) -> Result<Outcome, String> {
+    let rows = budgets
+        .iter()
+        .map(|budget| {
+            let value = lookup(report, &budget.field)?;
+            let ok = budget
+                .bound
+                .admits(value)
+                .map_err(|e| format!("{}: {e}", budget.field))?;
+            Ok(Row {
+                budget: budget.clone(),
+                value: value.clone(),
+                ok,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(Outcome { rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(times: &[(&str, f64)]) -> String {
-        let rows: Vec<String> = times
+    /// A report that sets each budget's field to `value_of(bound)`.
+    fn report(budgets: &[Budget], value_of: impl Fn(Bound) -> Value) -> Value {
+        let mut doc = exec_report(&[("PRM", 0.0), ("DESA", 0.0), ("Init", 0.0)], 0.0);
+        for b in budgets {
+            *at(&mut doc, &b.field) = value_of(b.bound);
+        }
+        doc
+    }
+
+    /// A value exactly on the bound: its upper or lower end.
+    fn edge(bound: Bound, upper: bool) -> Value {
+        match bound {
+            AtMost(x) | AtLeast(x) => Value::F64(x),
+            Within(lo, hi) => Value::F64(if upper { hi } else { lo }),
+            IsTrue => Value::Bool(true),
+        }
+    }
+
+    /// A value just outside the bound, above or below it.
+    fn beyond(bound: Bound, upper: bool) -> Value {
+        match bound {
+            AtMost(x) => Value::F64(x + 1e-6),
+            AtLeast(x) => Value::F64(x - 1e-6),
+            Within(lo, hi) => Value::F64(if upper { hi + 1e-6 } else { lo - 1e-6 }),
+            IsTrue => Value::Bool(false),
+        }
+    }
+
+    /// The node at a `.`-separated budget path, for editing; a missing
+    /// object member is added as `null`.
+    fn at<'v>(doc: &'v mut Value, path: &str) -> &'v mut Value {
+        path.split('.')
+            .filter(|key| !key.is_empty())
+            .fold(doc, |node, key| match node {
+                Value::Array(rows) => rows
+                    .iter_mut()
+                    .find(|r| r.field("name").and_then(Value::as_str) == Ok(key))
+                    .unwrap(),
+                Value::Object(fields) => {
+                    let i = fields
+                        .iter()
+                        .position(|(k, _)| k == key)
+                        .unwrap_or_else(|| {
+                            fields.push((key.into(), Value::Null));
+                            fields.len() - 1
+                        });
+                    &mut fields[i].1
+                }
+                _ => panic!("no `{key}` in `{path}`"),
+            })
+    }
+
+    fn exec_report(times: &[(&str, f64)], ckpt: f64) -> Value {
+        let models = times
             .iter()
-            .map(|(n, t)| format!("{{\"name\":\"{n}\",\"train_cached_ms\":{t}}}"))
+            .map(|&(name, ms)| {
+                Value::Object(vec![
+                    ("name".into(), Value::Str(name.into())),
+                    ("train_cached_ms".into(), Value::F64(ms)),
+                ])
+            })
             .collect();
-        format!(
-            "{{\"scale\":\"quick\",\"models\":[{}],\"total_after_ms\":1.0}}",
-            rows.join(",")
-        )
+        Value::Object(vec![
+            ("models".into(), Value::Array(models)),
+            ("ckpt_overhead_frac".into(), Value::F64(ckpt)),
+        ])
     }
 
-    fn report_with_ckpt(times: &[(&str, f64)], frac: f64) -> String {
-        let base = report(times);
-        format!(
-            "{},\"ckpt_overhead_frac\":{frac}}}",
-            base.strip_suffix('}').unwrap()
-        )
+    /// Every table under test: serve, and exec against a baseline that
+    /// includes a zero-time model (whose ceiling is exactly 0).
+    fn tables() -> Vec<Vec<Budget>> {
+        let baseline = exec_report(&[("PRM", 100.0), ("DESA", 200.0), ("Init", 0.0)], 0.01);
+        vec![SERVE_BUDGETS.to_vec(), exec_budgets(&baseline).unwrap()]
     }
 
-    #[test]
-    fn identical_reports_pass() {
-        let j = report(&[("PRM", 100.0), ("DESA", 200.0)]);
-        let out = check_regression(&j, &j, DEFAULT_TOLERANCE).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.deltas.len(), 2);
-        assert!(out.deltas.iter().all(|d| (d.ratio - 1.0).abs() < 1e-12));
+    fn failed(outcome: &Outcome) -> Vec<&str> {
+        outcome
+            .rows
+            .iter()
+            .filter(|r| !r.ok)
+            .map(|r| r.budget.field.as_ref())
+            .collect()
     }
 
-    #[test]
-    fn within_tolerance_passes() {
-        let base = report(&[("PRM", 100.0)]);
-        let cur = report(&[("PRM", 124.0)]);
-        assert!(check_regression(&base, &cur, DEFAULT_TOLERANCE)
-            .unwrap()
-            .passed());
+    fn rows(table: &[Budget]) -> Vec<(&str, Bound)> {
+        table.iter().map(|b| (b.field.as_ref(), b.bound)).collect()
     }
 
     #[test]
-    fn doctored_2x_baseline_fails() {
-        // The local CI rehearsal: a baseline doctored to half the real
-        // time makes the real run look like a 2x slowdown.
-        let base = report(&[("PRM", 50.0), ("DESA", 80.0), ("RAPID-pro", 90.0)]);
-        let cur = report(&[("PRM", 100.0), ("DESA", 160.0), ("RAPID-pro", 180.0)]);
-        let out = check_regression(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert!(!out.passed());
-        assert!(out.deltas.iter().all(|d| d.regressed));
-        assert!(out.render().contains("FAIL"));
-    }
-
-    #[test]
-    fn single_model_regression_fails_whole_gate() {
-        let base = report(&[("PRM", 100.0), ("DESA", 100.0)]);
-        let cur = report(&[("PRM", 100.0), ("DESA", 130.0)]);
-        let out = check_regression(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert!(!out.passed());
+    fn tables_pin_todays_budgets() {
         assert_eq!(
-            out.deltas
-                .iter()
-                .filter(|d| d.regressed)
-                .map(|d| d.name.as_str())
-                .collect::<Vec<_>>(),
-            vec!["DESA"]
+            rows(EXEC_BUDGETS),
+            vec![("ckpt_overhead_frac", AtMost(0.05))]
+        );
+        assert_eq!(
+            rows(SERVE_BUDGETS),
+            vec![
+                ("distinct_users", AtLeast(100_000.0)),
+                ("rerank_p50_ms", AtMost(50.0)),
+                ("rerank_p99_ms", AtMost(50.0)),
+                ("non_2xx", AtMost(0.0)),
+                ("transport_errors", AtMost(0.0)),
+                ("degraded_requests", AtMost(0.0)),
+                ("fallback_requests", AtMost(0.0)),
+                ("panics", AtMost(0.0)),
+                ("requests_dropped", AtMost(0.0)),
+                ("trace_overhead_frac", AtMost(0.05)),
+                ("tail_exemplars", AtLeast(1.0)),
+                ("exemplar_span_frac", Within(0.9, 1.1)),
+                ("slo_exhausted", AtMost(0.0)),
+                ("swap_ok", IsTrue),
+                ("swap_disruptions", AtMost(0.0)),
+                ("overload_goodput_p99_ms", AtMost(50.0)),
+                ("overload_shed", AtLeast(1.0)),
+                ("deadline_miss_2xx", AtMost(0.0)),
+                ("corrupt_swap_rejected", IsTrue),
+                ("corrupt_swap_live_intact", IsTrue),
+            ]
+        );
+
+        // One train-time row per baseline model, 25% over its time.
+        assert_eq!(TRAIN_TOLERANCE, 0.25);
+        let table = exec_budgets(&exec_report(&[("PRM", 100.0), ("DESA", 200.0)], 0.01)).unwrap();
+        assert_eq!(
+            rows(&table),
+            vec![
+                ("ckpt_overhead_frac", AtMost(0.05)),
+                ("models.PRM.train_cached_ms", AtMost(125.0)),
+                ("models.DESA.train_cached_ms", AtMost(250.0)),
+            ]
         );
     }
 
     #[test]
-    fn faster_current_passes() {
-        let base = report(&[("PRM", 100.0)]);
-        let cur = report(&[("PRM", 10.0)]);
-        assert!(check_regression(&base, &cur, DEFAULT_TOLERANCE)
-            .unwrap()
-            .passed());
-    }
-
-    #[test]
-    fn missing_model_is_an_error_not_a_pass() {
-        let base = report(&[("PRM", 100.0), ("DESA", 100.0)]);
-        let cur = report(&[("PRM", 100.0)]);
-        let err = check_regression(&base, &cur, DEFAULT_TOLERANCE).unwrap_err();
-        assert!(err.contains("DESA"));
-    }
-
-    #[test]
-    fn malformed_json_is_an_error() {
-        let good = report(&[("PRM", 100.0)]);
-        assert!(check_regression("not json", &good, DEFAULT_TOLERANCE).is_err());
-        assert!(check_regression(&good, "{\"models\":[]}", DEFAULT_TOLERANCE).is_err());
-        assert!(check_regression(&good, "{}", DEFAULT_TOLERANCE).is_err());
-    }
-
-    #[test]
-    fn ckpt_overhead_within_budget_passes() {
-        let base = report(&[("PRM", 100.0)]);
-        let cur = report_with_ckpt(&[("PRM", 100.0)], 0.02);
-        let out = check_regression(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.ckpt_overhead_frac, Some(0.02));
-        assert!(out.render().contains("checkpoint overhead: 2.00%"));
-    }
-
-    #[test]
-    fn ckpt_overhead_over_budget_fails() {
-        let base = report(&[("PRM", 100.0)]);
-        let cur = report_with_ckpt(&[("PRM", 100.0)], 0.12);
-        let out = check_regression(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert!(!out.passed());
-        assert!(out.ckpt_regressed);
-        assert!(out.render().contains("checkpoint overhead above"));
-    }
-
-    #[test]
-    fn reports_without_ckpt_field_are_tolerated() {
-        // Old baselines and old current reports simply skip the budget.
-        let j = report(&[("PRM", 100.0)]);
-        let out = check_regression(&j, &j, DEFAULT_TOLERANCE).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.ckpt_overhead_frac, None);
-        assert!(out.render().contains("not reported"));
-    }
-
-    #[test]
-    fn zero_baseline_guard() {
-        let base = report(&[("PRM", 0.0)]);
-        let cur = report(&[("PRM", 5.0)]);
-        let out = check_regression(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert!(!out.passed());
-        assert!(out.deltas[0].ratio.is_infinite());
-        // 0 → 0 is a clean pass.
-        let out = check_regression(&base, &base, DEFAULT_TOLERANCE).unwrap();
-        assert!(out.passed());
-    }
-
-    fn serve_report(overrides: &[(&str, &str)]) -> String {
-        let mut fields: Vec<(&str, String)> = vec![
-            ("distinct_users", "120000".into()),
-            ("rerank_p50_ms", "2.5".into()),
-            ("rerank_p99_ms", "9.0".into()),
-            ("non_2xx", "0".into()),
-            ("transport_errors", "0".into()),
-            ("degraded_requests", "0".into()),
-            ("fallback_requests", "0".into()),
-            ("panics", "0".into()),
-            ("requests_dropped", "0".into()),
-        ];
-        for &(k, v) in overrides {
-            match fields.iter_mut().find(|(n, _)| *n == k) {
-                Some(slot) => slot.1 = v.to_string(),
-                None => fields.push((k, v.to_string())),
+    fn values_on_the_bound_pass() {
+        for table in tables() {
+            for upper in [false, true] {
+                let outcome = judge(&report(&table, |b| edge(b, upper)), &table).unwrap();
+                assert!(outcome.passed(), "{}", outcome.render());
+                assert_eq!(outcome.rows.len(), table.len());
+                assert!(outcome.render().contains("PASS"));
             }
         }
-        let rows: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-        format!("{{{}}}", rows.join(","))
     }
 
     #[test]
-    fn clean_serve_report_passes() {
-        let out = check_serve(&serve_report(&[])).unwrap();
-        assert!(out.passed(), "{:?}", out.failures);
-        assert!(out.render().contains("PASS"));
-    }
-
-    #[test]
-    fn slow_p99_blows_the_serve_budget() {
-        let out = check_serve(&serve_report(&[("rerank_p99_ms", "75.0")])).unwrap();
-        assert!(!out.passed());
-        assert!(out.failures[0].contains("p99"));
-        assert!(out.render().contains("OVER BUDGET"));
-    }
-
-    #[test]
-    fn slow_p50_blows_the_serve_budget() {
-        let out = check_serve(&serve_report(&[("rerank_p50_ms", "51.0")])).unwrap();
-        assert!(!out.passed());
-        assert!(out.failures[0].contains("p50"));
-    }
-
-    #[test]
-    fn any_error_counter_fails_the_serve_gate() {
-        for field in [
-            "non_2xx",
-            "transport_errors",
-            "degraded_requests",
-            "fallback_requests",
-            "panics",
-            "requests_dropped",
-        ] {
-            let out = check_serve(&serve_report(&[(field, "1")])).unwrap();
-            assert!(!out.passed(), "{field} = 1 must fail");
-            assert_eq!(out.failures.len(), 1, "{field}");
-        }
-    }
-
-    fn resilient_serve_report(overrides: &[(&str, &str)]) -> String {
-        let mut fields: Vec<(&str, &str)> = vec![
-            ("swap_ok", "true"),
-            ("swap_disruptions", "0"),
-            ("overload_goodput_p99_ms", "18.0"),
-            ("overload_shed", "42"),
-            ("deadline_miss_2xx", "0"),
-            ("corrupt_swap_rejected", "true"),
-            ("corrupt_swap_live_intact", "true"),
-        ];
-        for &(k, v) in overrides {
-            match fields.iter_mut().find(|(n, _)| *n == k) {
-                Some(slot) => slot.1 = v,
-                None => fields.push((k, v)),
+    fn breaking_one_row_fails_exactly_that_row() {
+        for table in tables() {
+            for target in &table {
+                for upper in [false, true] {
+                    let mut doc = report(&table, |b| edge(b, false));
+                    *at(&mut doc, &target.field) = beyond(target.bound, upper);
+                    let outcome = judge(&doc, &table).unwrap();
+                    assert_eq!(failed(&outcome), vec![target.field.as_ref()]);
+                    assert!(outcome.render().contains("FAIL: 1 of"));
+                }
             }
         }
-        serve_report(&fields)
     }
 
     #[test]
-    fn clean_resilience_report_passes() {
-        let out = check_serve(&resilient_serve_report(&[])).unwrap();
-        assert!(out.passed(), "{:?}", out.failures);
-        assert_eq!(out.swap_ok, Some(true));
-        assert_eq!(out.overload_shed, Some(42));
-        let rendered = out.render();
-        assert!(rendered.contains("overload_p99_ms"));
-        assert!(rendered.contains("PASS"));
-    }
-
-    #[test]
-    fn pre_resilience_reports_skip_the_new_budgets() {
-        let out = check_serve(&serve_report(&[])).unwrap();
-        assert!(out.passed());
-        assert_eq!(out.swap_ok, None);
-        assert_eq!(out.overload_shed, None);
-        assert!(out.render().contains("pre-resilience"));
-    }
-
-    #[test]
-    fn each_resilience_budget_fails_independently() {
-        for (field, bad, needle) in [
-            ("swap_ok", "false", "/admin/reload"),
-            ("swap_disruptions", "3", "disrupted"),
-            ("overload_goodput_p99_ms", "120.0", "goodput p99"),
-            ("overload_shed", "0", "never engaged"),
-            ("deadline_miss_2xx", "2", "past their deadline"),
-            ("corrupt_swap_rejected", "false", "not rejected"),
-            ("corrupt_swap_live_intact", "false", "disturbed"),
-        ] {
-            let out = check_serve(&resilient_serve_report(&[(field, bad)])).unwrap();
-            assert!(!out.passed(), "{field} = {bad} must fail");
-            assert_eq!(out.failures.len(), 1, "{field}: {:?}", out.failures);
-            assert!(
-                out.failures[0].contains(needle),
-                "{field}: {:?}",
-                out.failures
-            );
-            assert!(out.render().contains("OVER BUDGET"), "{field}");
+    fn a_missing_field_is_an_error_naming_it() {
+        for table in tables() {
+            for target in &table {
+                let mut doc = report(&table, |b| edge(b, false));
+                let (parent, key) = target.field.rsplit_once('.').unwrap_or(("", &target.field));
+                let Value::Object(fields) = at(&mut doc, parent) else {
+                    panic!("`{parent}` is not an object")
+                };
+                fields.retain(|(k, _)| k != key);
+                let err = judge(&doc, &table).unwrap_err();
+                assert!(err.contains(target.field.as_ref()), "{err}");
+            }
         }
     }
 
     #[test]
-    fn too_few_distinct_users_fails() {
-        let out = check_serve(&serve_report(&[("distinct_users", "99999")])).unwrap();
-        assert!(!out.passed());
-        assert!(out.failures[0].contains("floor"));
-    }
-
-    #[test]
-    fn nan_latency_fails_rather_than_passes() {
-        // An empty latency sample serializes as null/NaN-ish; a missing
-        // or non-numeric field is a harness error, and a literal
-        // out-of-range value must fail the budget, never pass it.
-        assert!(check_serve(&serve_report(&[("rerank_p50_ms", "null")])).is_err());
-    }
-
-    #[test]
-    fn missing_serve_field_is_an_error() {
-        let err = check_serve("{\"distinct_users\": 120000}").unwrap_err();
+    fn nan_and_mistyped_values_never_pass() {
+        for bound in [AtMost(50.0), AtLeast(1.0), Within(0.9, 1.1)] {
+            assert_eq!(bound.admits(&Value::F64(f64::NAN)), Ok(false), "{bound}");
+            assert!(bound.admits(&Value::Null).is_err(), "{bound}");
+            assert!(bound.admits(&Value::Bool(true)).is_err(), "{bound}");
+        }
+        assert!(IsTrue.admits(&Value::U64(1)).is_err());
+        // A report carries NaN as `null`, which the gate rejects as
+        // mistyped.
+        let mut doc = report(SERVE_BUDGETS, |b| edge(b, false));
+        *at(&mut doc, "rerank_p50_ms") = Value::Null;
+        let err = judge(&doc, SERVE_BUDGETS).unwrap_err();
         assert!(err.contains("rerank_p50_ms"), "{err}");
-        assert!(check_serve("not json").is_err());
-    }
-
-    /// A tracing-era report with every observability field inside
-    /// budget.
-    fn traced_serve_report(overrides: &[(&str, &str)]) -> String {
-        let mut fields: Vec<(&str, &str)> = vec![
-            ("trace_overhead_frac", "0.02"),
-            ("tail_exemplars", "3"),
-            ("exemplar_span_frac", "0.97"),
-            ("slo_exhausted", "0"),
-        ];
-        for &(k, v) in overrides {
-            match fields.iter_mut().find(|(n, _)| *n == k) {
-                Some(slot) => slot.1 = v,
-                None => fields.push((k, v)),
-            }
-        }
-        serve_report(&fields)
     }
 
     #[test]
-    fn traced_serve_report_within_budgets_passes() {
-        let out = check_serve(&traced_serve_report(&[])).unwrap();
-        assert!(out.passed(), "{:?}", out.failures);
-        assert_eq!(out.trace_overhead_frac, Some(0.02));
-        assert_eq!(out.tail_exemplars, Some(3));
-        assert_eq!(out.slo_exhausted, Some(0));
-        assert!(!out.render().contains("pre-tracing"));
-        assert!(!out.render().contains("pre-SLO"));
+    fn exec_gate_judges_each_model_against_its_baseline() {
+        let base = exec_report(&[("PRM", 100.0), ("DESA", 100.0), ("Init", 0.0)], 0.01);
+        let budgets = exec_budgets(&base).unwrap();
+        let run = |prm, desa, init| {
+            let cur = exec_report(&[("PRM", prm), ("DESA", desa), ("Init", init)], 0.01);
+            let outcome = judge(&cur, &budgets).unwrap();
+            failed(&outcome).join(" ")
+        };
+        // Identical, faster and within-tolerance runs pass.
+        assert_eq!(run(100.0, 100.0, 0.0), "");
+        assert_eq!(run(10.0, 124.0, 0.0), "");
+        // One slow model fails the gate alone; a zero-time baseline
+        // admits only zero.
+        assert_eq!(run(100.0, 130.0, 0.0), "models.DESA.train_cached_ms");
+        assert_eq!(run(100.0, 100.0, 5.0), "models.Init.train_cached_ms");
+        // A baseline doctored to half the real time makes the real run
+        // look like a 2x slowdown of every timed model.
+        assert_eq!(
+            run(200.0, 200.0, 0.0),
+            "models.PRM.train_cached_ms models.DESA.train_cached_ms"
+        );
     }
 
     #[test]
-    fn trace_overhead_over_budget_fails() {
-        let out = check_serve(&traced_serve_report(&[("trace_overhead_frac", "0.12")])).unwrap();
-        assert!(!out.passed());
-        assert!(out.failures[0].contains("overhead"), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn zero_tail_exemplars_fails() {
-        let out = check_serve(&traced_serve_report(&[("tail_exemplars", "0")])).unwrap();
-        assert!(!out.passed());
-        assert!(out.failures[0].contains("exemplar"), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn exemplar_span_frac_out_of_band_fails() {
-        for bad in ["0.5", "1.5"] {
-            let out = check_serve(&traced_serve_report(&[("exemplar_span_frac", bad)])).unwrap();
-            assert!(!out.passed(), "span frac {bad} must fail");
-            assert!(out.failures[0].contains("stage sum"), "{:?}", out.failures);
-        }
-    }
-
-    #[test]
-    fn slo_exhaustion_fails() {
-        let out = check_serve(&traced_serve_report(&[("slo_exhausted", "1")])).unwrap();
-        assert!(!out.passed());
-        assert!(out.failures[0].contains("SLO"), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn pre_tracing_reports_skip_the_observability_budgets() {
-        // The committed pre-tracing baseline has none of the four
-        // fields; the gate must keep judging it by the classic budgets.
-        let out = check_serve(&serve_report(&[])).unwrap();
-        assert!(out.passed(), "{:?}", out.failures);
-        assert_eq!(out.trace_overhead_frac, None);
-        assert_eq!(out.tail_exemplars, None);
-        assert_eq!(out.exemplar_span_frac, None);
-        assert_eq!(out.slo_exhausted, None);
-        assert!(out.render().contains("not reported"));
+    fn exec_reports_that_do_not_match_the_baseline_are_errors() {
+        let base = exec_report(&[("PRM", 100.0), ("DESA", 100.0)], 0.01);
+        let budgets = exec_budgets(&base).unwrap();
+        let err = judge(&exec_report(&[("PRM", 100.0)], 0.01), &budgets).unwrap_err();
+        assert!(err.contains("DESA"), "{err}");
+        assert!(judge(&Value::Object(vec![]), &budgets).is_err());
+        assert!(exec_budgets(&exec_report(&[], 0.01)).is_err());
+        assert!(exec_budgets(&Value::Object(vec![])).is_err());
+        assert!(exec_budgets(&Value::Null).is_err());
     }
 }

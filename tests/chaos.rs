@@ -409,19 +409,16 @@ fn env_armed_chaos_run_recovers_end_to_end() {
             epochs: 1,
             ..rapid::serve::ServeConfig::default()
         };
-        let artifact = std::env::temp_dir().join(format!(
-            "rapid-chaos-serve-{}.ckpt",
-            std::process::id()
-        ));
+        let artifact =
+            std::env::temp_dir().join(format!("rapid-chaos-serve-{}.ckpt", std::process::id()));
         if rapid::serve::train_artifact(&cfg, &artifact).is_err() {
             return; // e.g. `ckpt.write=io-error`: no artifact, no server
         }
         let Ok(model) = rapid::serve::ServeModel::boot(&cfg, &artifact) else {
             return;
         };
-        let state = std::sync::Arc::new(
-            rapid::serve::AppState::new(model).with_artifact(artifact.clone()),
-        );
+        let state =
+            std::sync::Arc::new(rapid::serve::AppState::new(model).with_artifact(artifact.clone()));
         let handle = rapid::serve::start(
             std::sync::Arc::clone(&state),
             &rapid::serve::ServerConfig::default(),

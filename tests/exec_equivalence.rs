@@ -7,7 +7,7 @@ use rapid::core::{Rapid, RapidConfig};
 use rapid::data::Flavor;
 use rapid::eval::{ExperimentConfig, Pipeline, Scale};
 use rapid::exec::{list_feature_matrix, FeatureCache, PreparedList};
-use rapid::rerankers::{Dlcm, DlcmConfig, Prm, PrmConfig, ReRanker};
+use rapid::rerankers::{Desa, DesaConfig, Dlcm, DlcmConfig, Prm, PrmConfig, ReRanker};
 
 fn config() -> ExperimentConfig {
     let mut c = ExperimentConfig::new(Flavor::MovieLens, Scale::Quick);
@@ -57,6 +57,22 @@ fn prm_prepared_path_is_bit_identical() {
             PrmConfig {
                 epochs: 2,
                 ..PrmConfig::default()
+            },
+        ))
+    };
+    assert_paths_identical(mk(), mk());
+}
+
+#[test]
+fn desa_prepared_path_is_bit_identical() {
+    let pipeline = Pipeline::prepare(config());
+    let ds = pipeline.dataset();
+    let mk = || {
+        Box::new(Desa::new(
+            ds,
+            DesaConfig {
+                epochs: 2,
+                ..DesaConfig::default()
             },
         ))
     };
