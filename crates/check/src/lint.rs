@@ -35,13 +35,14 @@
 //!   before its first code line (the workspace's `missing_docs`
 //!   equivalent for air-gapped builds).
 //! * `no-expect-in-serve` — no `.unwrap()` / `.expect(` in the
-//!   degradation-critical serving paths (`obs::serve`,
-//!   `exec::parallel`, and every file of `rapid-serve`'s request
-//!   path): these are exactly the paths that promise to survive
-//!   faults rather than panic, so even "can't happen" unwraps are
-//!   banned there independently of the hot-crate rule.
+//!   degradation-critical serving paths (`obs::serve`, the shared
+//!   transport `obs::http`, `exec::parallel`, and every file of
+//!   `rapid-serve`'s request path): these are exactly the paths that
+//!   promise to survive faults rather than panic, so even "can't
+//!   happen" unwraps are banned there independently of the hot-crate
+//!   rule.
 //! * `trace-context-no-leak` — on the serving path (`rapid-serve`,
-//!   `obs::serve`, `exec::parallel`), a request-trace guard
+//!   `obs::serve`, `obs::http`, `exec::parallel`), a request-trace guard
 //!   (`trace::start_request` / `trace::install`) must be held in a
 //!   named binding that lives for the request. Discarding it — a bare
 //!   statement or a `let _ =` binding — uninstalls the context before
@@ -49,13 +50,14 @@
 //!   context (or a dead connection) to the worker thread forever;
 //!   both corrupt tracing silently rather than loudly.
 //! * `bounded-queue` — no unbounded buffering primitives on the serve
-//!   request path (`rapid-serve`, `obs::serve`, `exec::parallel`):
-//!   `mpsc::channel` and `VecDeque` accept work without limit, which
-//!   under overload converts a shed-able burst into unbounded memory
-//!   and a collapsed p99. Use `mpsc::sync_channel` (whose send fails
-//!   fast when full) or guard every push with an explicit capacity
-//!   check and say so via a `lint:allow(bounded-queue)` directive
-//!   naming where the bound is enforced.
+//!   request path (`rapid-serve`, `obs::serve`, `obs::http`,
+//!   `exec::parallel`): `mpsc::channel` and `VecDeque` accept work
+//!   without limit, which under overload converts a shed-able burst
+//!   into unbounded memory and a collapsed p99. Use
+//!   `mpsc::sync_channel` (whose send fails fast when full) or guard
+//!   every push with an explicit capacity check and say so via a
+//!   `lint:allow(bounded-queue)` directive naming where the bound is
+//!   enforced.
 //! * `allow-needs-reason` — every `lint:allow(rule)` directive must
 //!   carry a trailing justification (`// lint:allow(float-eq) — exact
 //!   sparsity guard`), so a suppression always tells the reviewer why
@@ -155,8 +157,9 @@ const ENV_ALLOWED_FILES: [&str; 4] = [
 /// as *prefixes*, so a directory entry (`crates/serve/src/`) covers
 /// every request-path function of that crate, including files added
 /// after this list was written.
-const SERVE_NO_EXPECT_PATHS: [&str; 3] = [
+const SERVE_NO_EXPECT_PATHS: [&str; 4] = [
     "crates/obs/src/serve.rs",
+    "crates/obs/src/http.rs",
     "crates/exec/src/parallel.rs",
     "crates/serve/src/",
 ];
@@ -165,8 +168,9 @@ const SERVE_NO_EXPECT_PATHS: [&str; 3] = [
 /// (`trace-context-no-leak`): the same serving-path prefixes as
 /// `no-expect-in-serve`, because a leaked or dropped-on-arrival guard
 /// breaks exactly the requests those paths promise to keep whole.
-const TRACE_GUARD_PATHS: [&str; 3] = [
+const TRACE_GUARD_PATHS: [&str; 4] = [
     "crates/obs/src/serve.rs",
+    "crates/obs/src/http.rs",
     "crates/exec/src/parallel.rs",
     "crates/serve/src/",
 ];
@@ -179,8 +183,9 @@ const TRACE_GUARD_CALLS: [&str; 2] = ["start_request(", "trace::install("];
 /// because an unbounded queue there defeats load shedding — the burst
 /// that should have been refused with a `503` sits in memory instead,
 /// and every queued request's deadline expires before service.
-const BOUNDED_QUEUE_PATHS: [&str; 3] = [
+const BOUNDED_QUEUE_PATHS: [&str; 4] = [
     "crates/obs/src/serve.rs",
+    "crates/obs/src/http.rs",
     "crates/exec/src/parallel.rs",
     "crates/serve/src/",
 ];
@@ -738,7 +743,7 @@ mod tests {
         // Every file under crates/serve/src/ — present or future — is
         // on the request path, so the directory prefix must reach it.
         let src = "//! Doc.\nfn f() { x.unwrap(); }\n";
-        for file in ["server.rs", "http.rs", "state.rs", "some_new_module.rs"] {
+        for file in ["server.rs", "client.rs", "state.rs", "some_new_module.rs"] {
             assert_eq!(
                 rules(&lint_source(&format!("crates/serve/src/{file}"), src)),
                 vec!["no-expect-in-serve"],
@@ -798,7 +803,7 @@ mod tests {
         // allocation hint, not a bound.
         let src = "//! Doc.\nfn f() { let q: VecDeque<R> = VecDeque::new(); }\n";
         assert_eq!(
-            rules(&lint_source("crates/serve/src/http.rs", src)),
+            rules(&lint_source("crates/serve/src/client.rs", src)),
             vec!["bounded-queue"]
         );
         let src = "//! Doc.\nfn f() { let q = VecDeque::with_capacity(64); }\n";

@@ -56,6 +56,28 @@ fn clean_fixture_reports_nothing() {
 }
 
 #[test]
+fn the_shared_http_transport_is_on_the_serve_path() {
+    // `crates/obs/src/http.rs` sits outside the `crates/serve/src/`
+    // prefix, so it is listed by name on the serve-path rules.
+    let root = fixture_root("transport");
+    let src = root.join("crates/obs/src");
+    fs::create_dir_all(&src).unwrap();
+    fs::write(
+        src.join("http.rs"),
+        "//! Fixture transport.\nfn f() { conn.read().expect(\"x\"); }\nfn g() { let (tx, rx) = mpsc::channel(); }\n",
+    )
+    .unwrap();
+
+    let found: Vec<(usize, &str)> = lint_workspace(&root)
+        .unwrap()
+        .iter()
+        .map(|f| (f.line, f.rule))
+        .collect();
+    assert_eq!(found, [(2, "no-expect-in-serve"), (3, "bounded-queue")]);
+    fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
 fn missing_root_is_an_io_error() {
     let root = fixture_root("absent");
     assert!(lint_workspace(&root).is_err());

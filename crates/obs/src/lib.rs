@@ -45,8 +45,11 @@
 //!   multi-window burn-rate math over the timeline ring
 //!   ([`evaluate_slos`]), rendered as JSON ([`slo_json`]) and
 //!   Prometheus gauges.
-//! * [`serve`] — a std-only HTTP endpoint (`/metrics`, `/healthz`,
-//!   `/snapshot`, `/trace`, `/slo`) on `std::net::TcpListener`, started
+//! * [`http`] — the workspace's one HTTP/1.1 transport: a hardened
+//!   framer, a polled listener with a bounded queue and worker pool,
+//!   and a response writer. `rapid-serve` builds its service on it.
+//! * [`serve`] — the telemetry route table (`/metrics`, `/healthz`,
+//!   `/snapshot`, `/trace`, `/slo`) mounted on [`http::listen`], started
 //!   by binaries via [`install_from_env`] when `RAPID_OBS_ADDR` is set.
 //! * Config knobs — [`diag_enabled`] (`RAPID_DIAG`), [`out_dir`]
 //!   (`RAPID_OUT_DIR`, default `results`), [`serve_addr`]
@@ -64,6 +67,7 @@ pub mod clock;
 mod config;
 mod event;
 mod hist;
+pub mod http;
 mod ndjson;
 mod prom;
 mod registry;
@@ -80,10 +84,11 @@ pub use config::{
 };
 pub use event::{level_from_str, log, log_to, set_level, should_log, stderr_enabled, Level};
 pub use hist::Histogram;
+pub use http::ServeHandle;
 pub use ndjson::ParseError;
 pub use registry::{
     global, EventRecord, Exemplar, Registry, Snapshot, SpanStat, TimelineEvent, TraceStage,
 };
-pub use serve::{install_from_env, set_request_hook, ServeHandle};
+pub use serve::{install_from_env, set_request_hook};
 pub use slo::{evaluate_slos, slo_json, SloDef, SloStatus, SloWindow};
 pub use span::{time, time_in, Span};

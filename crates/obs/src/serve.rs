@@ -1,8 +1,5 @@
-//! A dependency-free HTTP endpoint serving live telemetry.
-//!
-//! [`serve`] binds a `std::net::TcpListener` and answers five `GET`
-//! routes from a background thread, each rendered from a fresh
-//! [`Registry::snapshot`] at request time:
+//! The telemetry endpoint: five `GET` routes over a registry, each
+//! rendered from a fresh [`Registry::snapshot`] at request time:
 //!
 //! * `/healthz` — liveness probe, plain `ok`.
 //! * `/metrics` — Prometheus text exposition
@@ -14,15 +11,13 @@
 //! * `/slo` — declared objectives with burn rates and remaining error
 //!   budget ([`crate::slo_json`]).
 //!
-//! The listener is non-blocking and polled, so [`ServeHandle::stop`]
-//! can shut the thread down promptly without a self-connect trick.
-//! Request parsing is deliberately minimal — read until the header
-//! terminator, split the request line — because the only supported
-//! clients are `curl`, Prometheus scrapers, and the smoke tests.
-//! Minimal is still hardened: headers are capped at
-//! [`MAX_HEADER_BYTES`] (oversized requests are dropped unparsed),
-//! non-`GET` methods get `405`, unknown paths get a `404` listing the
-//! routes, and a panic while handling one connection is caught so the
+//! [`route`] is that table. [`serve`] mounts it on the shared transport
+//! ([`crate::http::listen`]) with one worker; the online service
+//! (`rapid-serve`) mounts the same table under its own routes. Each
+//! connection carries one request: framing errors answer `431`, `413`
+//! or `400` and are never routed, a route asked with a method other
+//! than `GET` answers `405`, any other path gets a `404` listing the
+//! routes, and a panic while handling a connection is caught so the
 //! serving thread survives (`obs.request_panics` counts them).
 //!
 //! [`set_request_hook`] lets a fault-injection layer (`rapid-faults`)
@@ -34,26 +29,20 @@
 //! [`crate::set_serve_addr`]) names an address, once per process, and
 //! leaks the handle so the endpoint lives for the process lifetime.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
+use crate::http::{listen, response_bytes, ConnBuf, ServeHandle};
 use crate::registry::{global, Registry};
 
-/// How long the accept loop sleeps between polls. Shutdown latency and
-/// idle cost both scale with this; 10 ms keeps either negligible.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// Connections queued ahead of the endpoint's one worker; a connection
+/// arriving at a full queue is answered `503` at accept.
+const QUEUE_CAPACITY: usize = 16;
 
-/// Per-connection I/O budget, so one stalled client cannot wedge the
-/// single serving thread.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Hard cap on request-header bytes. Anything larger is dropped without
-/// parsing — no legitimate client of these four routes sends 8 KiB of
-/// headers, and the cap bounds what a hostile peer can make us buffer.
-pub const MAX_HEADER_BYTES: usize = 8 * 1024;
+const TEXT: &str = "text/plain; charset=utf-8";
+const JSON: &str = "application/json; charset=utf-8";
 
 /// The fault-injection interposer, if any. A plain `fn` pointer (not a
 /// closure) keeps this dependency-free and trivially `Send`.
@@ -75,47 +64,12 @@ fn request_hook() -> Option<fn() -> bool> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A running telemetry server. Dropping the handle detaches the thread
-/// (it keeps serving); call [`ServeHandle::stop`] for orderly shutdown.
-#[derive(Debug)]
-pub struct ServeHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ServeHandle {
-    /// The bound address — with an OS-assigned port when the caller
-    /// bound `:0`.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Signals the serving thread to exit and joins it.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 /// Starts a telemetry server for `registry` on `addr` (e.g.
 /// `127.0.0.1:9464`, or port `0` for an OS-assigned one). Returns once
 /// the socket is bound, so a subsequent request cannot race the bind.
 pub fn serve(registry: &'static Registry, addr: &str) -> std::io::Result<ServeHandle> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let thread = std::thread::Builder::new()
-        .name("rapid-obs-serve".to_string())
-        .spawn(move || accept_loop(listener, registry, &stop_flag))?;
-    Ok(ServeHandle {
-        addr: local,
-        stop,
-        thread: Some(thread),
+    listen(addr, 1, QUEUE_CAPACITY, busy, move |stream, _, _| {
+        handle_connection(stream, registry);
     })
 }
 
@@ -153,126 +107,79 @@ pub fn install_from_env() -> Option<SocketAddr> {
     })
 }
 
-fn accept_loop(listener: TcpListener, registry: &'static Registry, stop: &AtomicBool) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // One bad request (or an injected fault) must never
-                // take the serving thread down with it.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if request_hook().is_some_and(|hook| hook()) {
-                        registry.counter_add("obs.requests_dropped", 1);
-                    } else {
-                        handle_connection(stream, registry);
-                    }
-                }));
-                if outcome.is_err() {
-                    registry.counter_add("obs.request_panics", 1);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
+/// Refuses a connection the full queue cannot hold.
+fn busy(mut stream: TcpStream) {
+    let bytes = response_bytes("503 Service Unavailable", TEXT, "busy\n", false, &[]);
+    let _ = stream.write_all(&bytes);
 }
 
+/// Answers one request and closes. The telemetry routes take no body,
+/// so any declared body is refused as too large.
 fn handle_connection(mut stream: TcpStream, registry: &Registry) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let Some(request_line) = read_request_line(&mut stream) else {
-        return;
-    };
-    let (status, content_type, body) = route(&request_line, registry);
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
-}
-
-/// Reads up to the end of the request headers and returns the request
-/// line (`GET /metrics HTTP/1.1`). `None` on timeout, oversized
-/// headers, or malformed input — the connection is simply dropped.
-fn read_request_line(stream: &mut TcpStream) -> Option<String> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.len() > MAX_HEADER_BYTES {
-                    // Oversized headers are dropped, not parsed: a
-                    // request line salvaged from a rejected request
-                    // would still route it.
-                    return None;
-                }
-                if buf.windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            Err(_) => break,
+    // One bad request (or an injected fault) must never take the
+    // serving thread down with it.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if request_hook().is_some_and(|hook| hook()) {
+            registry.counter_add("obs.requests_dropped", 1);
+            return;
         }
-    }
-    let text = String::from_utf8_lossy(&buf);
-    let line = text.lines().next()?.trim().to_string();
-    if line.is_empty() {
-        None
-    } else {
-        Some(line)
+        let (status, content_type, body) = match ConnBuf::new().read_frame(&mut stream, 0) {
+            Ok(request) => route(registry, request.method(), request.path()).unwrap_or((
+                "404 Not Found",
+                TEXT,
+                "not found; try /healthz /metrics /snapshot /trace /slo\n".to_string(),
+            )),
+            Err(e) => match e.status() {
+                Some((status, why)) => (status, TEXT, format!("{why}\n")),
+                None => return,
+            },
+        };
+        let _ = stream.write_all(&response_bytes(status, content_type, &body, false, &[]));
+    }));
+    if outcome.is_err() {
+        registry.counter_add("obs.request_panics", 1);
     }
 }
 
-/// Maps a request line to `(status, content-type, body)`.
-fn route(request_line: &str, registry: &Registry) -> (&'static str, &'static str, String) {
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let path = path.split('?').next().unwrap_or(path);
-    if method != "GET" {
-        return (
+/// The telemetry route table: `(status, content-type, body)` for one of
+/// the five routes, rendered from a fresh snapshot of `registry`, with
+/// `405` for a method other than `GET`. `None` for any other path, so a
+/// server that mounts the table answers its own routes first and its
+/// own `404` last.
+pub fn route(
+    registry: &Registry,
+    method: &str,
+    path: &str,
+) -> Option<(&'static str, &'static str, String)> {
+    let (content_type, render): (&'static str, fn(&Registry) -> String) = match path {
+        "/healthz" => (TEXT, |_| "ok\n".to_string()),
+        "/metrics" => ("text/plain; version=0.0.4; charset=utf-8", |r| {
+            r.snapshot().to_prometheus()
+        }),
+        "/snapshot" => ("application/x-ndjson; charset=utf-8", |r| {
+            r.snapshot().to_ndjson()
+        }),
+        "/trace" => (JSON, |r| r.snapshot().to_chrome_trace()),
+        "/slo" => (JSON, |r| crate::slo::slo_json(&r.snapshot())),
+        _ => return None,
+    };
+    Some(if method == "GET" {
+        ("200 OK", content_type, render(registry))
+    } else {
+        (
             "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
+            TEXT,
             "method not allowed\n".to_string(),
-        );
-    }
-    match path {
-        "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
-        "/metrics" => (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            registry.snapshot().to_prometheus(),
-        ),
-        "/snapshot" => (
-            "200 OK",
-            "application/x-ndjson; charset=utf-8",
-            registry.snapshot().to_ndjson(),
-        ),
-        "/trace" => (
-            "200 OK",
-            "application/json; charset=utf-8",
-            registry.snapshot().to_chrome_trace(),
-        ),
-        "/slo" => (
-            "200 OK",
-            "application/json; charset=utf-8",
-            crate::slo::slo_json(&registry.snapshot()),
-        ),
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found; try /healthz /metrics /snapshot /trace /slo\n".to_string(),
-        ),
-    }
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::MAX_HEADER_BYTES;
+    use std::io::Read as _;
+    use std::time::Duration;
 
     /// A static registry distinct from the global one, so these tests
     /// never observe unrelated instrumentation.
@@ -306,9 +213,11 @@ mod tests {
         let handle = serve(reg, "127.0.0.1:0").expect("bind an ephemeral port");
         let addr = handle.addr();
 
-        let health = get(addr, "/healthz");
-        assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
-        assert!(health.ends_with("ok\n"), "{health}");
+        for path in ["/healthz", "/healthz?probe=1"] {
+            let health = get(addr, path);
+            assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
+            assert!(health.ends_with("ok\n"), "{health}");
+        }
 
         let metrics = get(addr, "/metrics");
         assert!(metrics.contains("text/plain; version=0.0.4"), "{metrics}");
@@ -327,6 +236,12 @@ mod tests {
 
         let missing = get(addr, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        for known in ["/healthz", "/metrics", "/snapshot", "/trace", "/slo"] {
+            assert!(
+                missing.contains(known),
+                "404 body must list {known}: {missing}"
+            );
+        }
 
         handle.stop();
         // After stop, connections are refused (or reset mid-handshake).
@@ -348,18 +263,10 @@ mod tests {
     #[test]
     fn non_get_methods_are_rejected() {
         for method in ["POST", "PUT", "DELETE", "HEAD", "PATCH"] {
-            let (status, _, body) = route(&format!("{method} /metrics HTTP/1.1"), test_registry());
+            let (status, _, body) = route(test_registry(), method, "/metrics").unwrap();
             assert!(status.starts_with("405"), "{method}: {status}: {body}");
         }
-    }
-
-    #[test]
-    fn unknown_paths_get_404_listing_the_routes() {
-        let (status, _, body) = route("GET /nope HTTP/1.1", test_registry());
-        assert!(status.starts_with("404"), "{status}");
-        for known in ["/healthz", "/metrics", "/snapshot", "/trace", "/slo"] {
-            assert!(body.contains(known), "404 body must list {known}: {body}");
-        }
+        assert!(route(test_registry(), "GET", "/nope").is_none());
     }
 
     #[test]
@@ -372,7 +279,7 @@ mod tests {
             objective: 0.99,
             windows_s: vec![60],
         });
-        let (status, content_type, body) = route("GET /slo HTTP/1.1", reg);
+        let (status, content_type, body) = route(reg, "GET", "/slo").unwrap();
         assert_eq!(status, "200 OK");
         assert!(
             content_type.starts_with("application/json"),
@@ -383,33 +290,29 @@ mod tests {
     }
 
     #[test]
-    fn query_strings_do_not_break_routing() {
-        let (status, _, _) = route("GET /healthz?probe=1 HTTP/1.1", test_registry());
-        assert_eq!(status, "200 OK");
-    }
-
-    #[test]
-    fn oversized_headers_are_dropped_without_a_response() {
+    fn oversized_headers_get_431_and_are_never_routed() {
         let _live = live_lock();
         let handle = serve(test_registry(), "127.0.0.1:0").expect("bind an ephemeral port");
         let addr = handle.addr();
         let mut stream = TcpStream::connect(addr).expect("connect");
         let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
         // A valid request line buried under > MAX_HEADER_BYTES of
-        // header padding: the server must close without answering.
+        // header padding: refused as a whole, never answered as
+        // `/healthz`.
         write!(stream, "GET /healthz HTTP/1.1\r\n").unwrap();
         let filler = format!("X-Pad: {}\r\n", "a".repeat(1024));
         for _ in 0..(MAX_HEADER_BYTES / 1024 + 2) {
             if stream.write_all(filler.as_bytes()).is_err() {
-                break; // server already hung up mid-write — fine
+                break; // server already answered and hung up — fine
             }
         }
         let _ = stream.write_all(b"\r\n");
         let mut out = String::new();
         let _ = stream.read_to_string(&mut out);
+        assert!(out.starts_with("HTTP/1.1 431"), "{out}");
         assert!(
-            out.is_empty(),
-            "oversized request must get no response: {out}"
+            !out.ends_with("ok\n"),
+            "an oversized request was routed: {out}"
         );
         // And the server is still healthy for well-formed requests.
         let health = get(addr, "/healthz");

@@ -17,34 +17,15 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Resilience knobs shared by the handlers (admission, deadlines,
-/// shedding).
-#[derive(Debug, Clone, Copy)]
-pub struct ResilienceConfig {
-    /// Default per-request budget (ms) when the client sends no
-    /// `X-Rapid-Deadline-Ms` header. 50 ms is the paper's serving bar.
-    pub deadline_ms: u64,
-    /// Concurrent `/rerank` requests admitted (0 = unlimited).
-    pub rerank_inflight: usize,
-    /// Concurrent `/events` requests admitted (0 = unlimited).
-    pub events_inflight: usize,
-    /// The `Retry-After` hint (seconds) on shed responses.
-    pub retry_after_s: u64,
-}
+/// Concurrent requests admitted per endpoint (`/rerank` and `/events`
+/// each).
+pub const INFLIGHT_LIMIT: usize = 16;
 
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self {
-            deadline_ms: 50,
-            rerank_inflight: 16,
-            events_inflight: 16,
-            retry_after_s: 1,
-        }
-    }
-}
+/// The `Retry-After` hint (seconds) on shed responses.
+pub const RETRY_AFTER_S: u64 = 1;
 
 /// The per-endpoint concurrency gate.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Gate {
     rerank_limit: usize,
     events_limit: usize,
@@ -52,12 +33,17 @@ pub struct Gate {
     events_inflight: AtomicUsize,
 }
 
+impl Default for Gate {
+    fn default() -> Self {
+        Self::with_limits(INFLIGHT_LIMIT, INFLIGHT_LIMIT)
+    }
+}
+
 impl Gate {
-    /// A gate with the config's limits.
-    pub fn new(cfg: &ResilienceConfig) -> Self {
+    fn with_limits(rerank_limit: usize, events_limit: usize) -> Self {
         Self {
-            rerank_limit: cfg.rerank_inflight,
-            events_limit: cfg.events_inflight,
+            rerank_limit,
+            events_limit,
             rerank_inflight: AtomicUsize::new(0),
             events_inflight: AtomicUsize::new(0),
         }
@@ -83,15 +69,11 @@ impl Gate {
 /// An RAII concurrency permit; dropping it releases the slot.
 #[derive(Debug)]
 pub struct Permit<'a> {
-    slot: Option<&'a AtomicUsize>,
+    slot: &'a AtomicUsize,
 }
 
 impl<'a> Permit<'a> {
     fn acquire(counter: &'a AtomicUsize, limit: usize) -> Option<Self> {
-        if limit == 0 {
-            // Unlimited endpoints hand out free permits.
-            return Some(Self { slot: None });
-        }
         let mut current = counter.load(Ordering::Relaxed);
         loop {
             if current >= limit {
@@ -103,7 +85,7 @@ impl<'a> Permit<'a> {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Some(Self { slot: Some(counter) }),
+                Ok(_) => return Some(Self { slot: counter }),
                 Err(seen) => current = seen,
             }
         }
@@ -112,9 +94,7 @@ impl<'a> Permit<'a> {
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot {
-            slot.fetch_sub(1, Ordering::AcqRel);
-        }
+        self.slot.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -122,17 +102,9 @@ impl Drop for Permit<'_> {
 mod tests {
     use super::*;
 
-    fn gate(rerank: usize, events: usize) -> Gate {
-        Gate::new(&ResilienceConfig {
-            rerank_inflight: rerank,
-            events_inflight: events,
-            ..ResilienceConfig::default()
-        })
-    }
-
     #[test]
     fn permits_bound_concurrency_and_release_on_drop() {
-        let g = gate(2, 1);
+        let g = Gate::with_limits(2, 1);
         let a = g.enter_rerank().expect("slot 1");
         let _b = g.enter_rerank().expect("slot 2");
         assert!(g.enter_rerank().is_none(), "limit 2 must refuse the third");
@@ -145,16 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_limit_means_unlimited() {
-        let g = gate(0, 0);
-        let permits: Vec<_> = (0..100).map(|_| g.enter_rerank()).collect();
-        assert!(permits.iter().all(Option::is_some));
-        assert_eq!(g.rerank_inflight(), 0, "free permits are not counted");
-    }
-
-    #[test]
     fn permits_are_exact_under_contention() {
-        let g = std::sync::Arc::new(gate(8, 0));
+        let g = std::sync::Arc::new(Gate::with_limits(8, 1));
         let admitted = std::sync::Arc::new(AtomicUsize::new(0));
         let peak = std::sync::Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {

@@ -6,7 +6,8 @@
 //! thread). Transport failures surface as `Err` strings — the caller
 //! counts them — and the client transparently reconnects on the next
 //! request, so a server-side connection drop (chaos plans, timeouts)
-//! costs exactly one failed request.
+//! costs exactly one failed request. Responses are framed by the same
+//! reader the servers use, `rapid_obs::http::ConnBuf`.
 //!
 //! [`RetryingClient`] wraps a [`Client`] with the [`RetryPolicy`]
 //! backoff machine: transport errors and shed responses (`429`/`503`)
@@ -15,9 +16,11 @@
 //! budget. Replaying a `/events` POST is safe because every event
 //! carries a per-user `seq` watermark the server deduplicates on.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+
+use rapid_obs::http::ConnBuf;
 
 use crate::backoff::{RetryPolicy, RetryState};
 
@@ -29,7 +32,7 @@ pub struct Client {
     addr: SocketAddr,
     stream: Option<TcpStream>,
     /// Bytes read past the end of the previous response.
-    buf: Vec<u8>,
+    conn: ConnBuf,
     /// Sent as `X-Rapid-Admin-Token` on every request when set.
     admin_token: Option<String>,
 }
@@ -62,7 +65,7 @@ impl Client {
         Self {
             addr,
             stream: None,
-            buf: Vec::new(),
+            conn: ConnBuf::new(),
             admin_token: None,
         }
     }
@@ -118,7 +121,6 @@ impl Client {
             // Drop the (possibly misframed) connection; the next
             // request dials fresh.
             self.stream = None;
-            self.buf.clear();
         }
         result
     }
@@ -140,7 +142,7 @@ impl Client {
                 .map_err(|e| format!("timeout: {e}"))?;
             let _ = stream.set_nodelay(true);
             self.stream = Some(stream);
-            self.buf.clear();
+            self.conn = ConnBuf::new();
         }
         let Some(stream) = self.stream.as_mut() else {
             return Err("no connection".to_string());
@@ -163,72 +165,23 @@ impl Client {
             .write_all(request.as_bytes())
             .map_err(|e| format!("write: {e}"))?;
 
-        // Read head.
-        let header_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            let mut chunk = [0u8; 4096];
-            match stream.read(&mut chunk) {
-                Ok(0) => return Err("connection closed before response head".to_string()),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(format!("read: {e}")),
-            }
-        };
-        let head = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or("");
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-        let mut content_length = 0usize;
-        let mut server_closes = false;
-        let mut trace_id = None;
-        let mut retry_after_s = None;
-        for line in lines {
-            let Some((name, value)) = line.split_once(':') else {
-                continue;
-            };
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad Content-Length {value:?}"))?;
-            } else if name.eq_ignore_ascii_case("connection")
-                && value.trim().eq_ignore_ascii_case("close")
-            {
-                server_closes = true;
-            } else if name.eq_ignore_ascii_case("x-rapid-trace-id") {
-                trace_id = Some(value.trim().to_string());
-            } else if name.eq_ignore_ascii_case("retry-after") {
-                retry_after_s = value.trim().parse::<u64>().ok();
-            }
-        }
-
-        // Read body.
-        let body_start = header_end + 4;
-        while self.buf.len() < body_start + content_length {
-            let mut chunk = [0u8; 4096];
-            match stream.read(&mut chunk) {
-                Ok(0) => return Err("connection closed mid-body".to_string()),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(format!("read: {e}")),
-            }
-        }
-        let body = String::from_utf8_lossy(&self.buf[body_start..body_start + content_length])
-            .into_owned();
-        self.buf.drain(..body_start + content_length);
-        if server_closes {
+        // Responses are not capped: the peer is this crate's own
+        // server, and the framer refuses lengths it cannot address.
+        let frame = self
+            .conn
+            .read_frame(stream, usize::MAX)
+            .map_err(|e| format!("response framing: {e:?}"))?;
+        let status = frame
+            .status()
+            .ok_or_else(|| "response without a status code".to_string())?;
+        if !frame.keep_alive() {
             self.stream = None;
-            self.buf.clear();
         }
         Ok(Response {
             status,
-            body,
-            trace_id,
-            retry_after_s,
+            trace_id: frame.header("x-rapid-trace-id").map(str::to_string),
+            retry_after_s: frame.header("retry-after").and_then(|v| v.parse().ok()),
+            body: String::from_utf8_lossy(&frame.body).into_owned(),
         })
     }
 }
@@ -304,5 +257,27 @@ impl RetryingClient {
                 None => return result,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_hostile_content_length_is_an_error_not_a_panic() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let _ = s.read(&mut [0u8; 1024]);
+            s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n")
+                .unwrap();
+        });
+        let result = Client::new(addr).get("/healthz");
+        assert!(result.is_err(), "{result:?}");
+        server.join().unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! Per-request deadline budgets and the degradation ladder.
 //!
 //! Every request carries a latency budget — `X-Rapid-Deadline-Ms` from
-//! the client, or the server default — anchored when the request is
+//! the client, or [`DEFAULT_DEADLINE_MS`] — anchored when the request is
 //! parsed (minus any time the connection already spent queued for a
 //! worker, so queue wait counts against the budget the way it does for
 //! the caller). Stages on the serving path consult
@@ -21,6 +21,10 @@
 //! [`BLEND_FLOOR_MS`]; below that only the passthrough answer fits.
 
 use std::time::{Duration, Instant};
+
+/// The budget (ms) of a request that sends no `X-Rapid-Deadline-Ms`
+/// header: the paper's 50 ms serving bar.
+pub const DEFAULT_DEADLINE_MS: u64 = 50;
 
 /// Minimum remaining budget (ms) to attempt the full RAPID re-rank.
 /// Quick-scale p99 for the prepare+rerank stages is ~2 ms; 5 ms leaves

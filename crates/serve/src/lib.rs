@@ -4,9 +4,9 @@
 //! The ROADMAP's north star is a service handling millions of users;
 //! this crate is the request path that every later scale item plugs
 //! into. It is dependency-free like the rest of the workspace: the
-//! transport is a polled `TcpListener` with a small worker pool
-//! ([`server`]), framing is a hardened hand-rolled HTTP/1.1 subset
-//! ([`http`]), and bodies are the vendored `serde_json` tree ([`api`]).
+//! transport is the workspace's one HTTP/1.1 layer, `rapid_obs::http`
+//! (a hardened framer and a polled listener with a small worker pool),
+//! and bodies are the vendored `serde_json` tree ([`api`]).
 //!
 //! Shape of the system:
 //!
@@ -29,8 +29,9 @@
 //!   artifact ([`model::train_artifact`] makes one) and serves
 //!   initial-ranker → RAPID rankings through the `rapid-exec` degraded
 //!   batch path.
-//! * [`server`] — routes `/events`, `/rerank`, `/aggregates`,
-//!   `/metrics`, `/healthz`, `/snapshot`, `/admin/reload`; every
+//! * [`server`] — routes `/events`, `/rerank`, `/aggregates`, `/slo`,
+//!   `/admin/reload`, and mounts the telemetry table (`/healthz`,
+//!   `/metrics`, `/snapshot`, `/trace`) for every other path; every
 //!   request passes the `serve.request` chaos site.
 //! * [`client`] / [`loadgen`] — the in-process HTTP client (plus the
 //!   retrying wrapper) and the seeded open-loop load generator behind
@@ -59,20 +60,20 @@ pub mod backoff;
 pub mod breaker;
 pub mod client;
 pub mod deadline;
-pub mod http;
 pub mod loadgen;
 pub mod model;
 pub mod server;
 pub mod state;
 pub mod swap;
 
-pub use admission::{Gate, Permit, ResilienceConfig};
+pub use admission::{Gate, Permit};
 pub use backoff::{RetryPolicy, RetryState};
 pub use breaker::{Breaker, BreakerConfig, BreakerDecision, BreakerState};
 pub use client::{Client, Response, RetryingClient};
 pub use deadline::{Deadline, DegradeTier};
 pub use loadgen::{run as run_load, LoadConfig, LoadReport};
 pub use model::{train_artifact, RerankError, Reranked, ServeConfig, ServeModel};
-pub use server::{start, AppState, ServeHandle, ServerConfig, MAX_BODY_BYTES};
+pub use rapid_obs::http::ServeHandle;
+pub use server::{start, AppState, ServerConfig, MAX_BODY_BYTES};
 pub use state::{EventOutcome, UserState, UserStore};
 pub use swap::{hot_swap, ModelSlot, SwapError, SwapOutcome};

@@ -296,7 +296,11 @@ fn arrival_schedule(cfg: &LoadConfig) -> Vec<f64> {
     let mut t = 0.0f64;
     for i in 0..n {
         schedule.push(t);
-        let frac = if n > 1 { i as f64 / (n - 1) as f64 } else { 0.0 };
+        let frac = if n > 1 {
+            i as f64 / (n - 1) as f64
+        } else {
+            0.0
+        };
         let rate = q0 + (q1 - q0) * frac;
         t += 1.0 / rate;
     }

@@ -234,7 +234,11 @@ impl ServeModel {
             },
         );
         let mut tape = Tape::new();
-        if self.rapid.record_graph(&self.ds, &prep, &mut tape).is_none() {
+        if self
+            .rapid
+            .record_graph(&self.ds, &prep, &mut tape)
+            .is_none()
+        {
             return Err("model recorded no inference graph".to_string());
         }
         match rapid_check::check_tape(&tape) {

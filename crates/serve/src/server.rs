@@ -1,13 +1,13 @@
-//! The online API server: polled accept loop, a bounded connection
-//! queue, a small worker pool, and the routes (`/events`, `/rerank`,
-//! `/aggregates`, `/metrics`, `/healthz`, `/snapshot`, `/slo`,
-//! `/admin/reload`).
+//! The online API server: the service's routes (`/events`, `/rerank`,
+//! `/aggregates`, `/slo`, `/admin/reload`) over keep-alive connections,
+//! with the telemetry table of `rapid_obs::serve` (`/healthz`,
+//! `/metrics`, `/snapshot`, `/trace`) answering every other path.
 //!
-//! The transport follows the hardened `rapid_obs::serve` pattern — a
-//! nonblocking listener polled every 10 ms under a stop flag, per-stream
-//! read/write timeouts, bounded headers and bodies — extended with POST
-//! bodies, keep-alive connections, and a worker pool so one slow client
-//! cannot stall ingestion. Every parsed request passes the
+//! The transport is the workspace's shared one, `rapid_obs::http`: a
+//! nonblocking listener polled every 10 ms under a stop flag, a bounded
+//! connection queue ahead of a worker pool (so one slow client cannot
+//! stall ingestion), per-stream read/write timeouts, and bounded
+//! headers and bodies. Every parsed request passes the
 //! `serve.request` fault site (`rapid_faults::should_drop`): an armed
 //! `io-error` drops the connection, `delay` stalls it, and `panic` is
 //! caught by the per-request `catch_unwind` and answered as a 500 with
@@ -16,7 +16,7 @@
 //!
 //! Overload resilience (DESIGN.md "Overload & degradation ladder"):
 //!
-//! * the connection queue is a **bounded** `sync_channel`
+//! * the connection queue is **bounded**
 //!   ([`ServerConfig::queue_capacity`]); a full queue sheds at accept
 //!   with a canned `503` + `Retry-After` instead of buffering without
 //!   limit,
@@ -24,9 +24,9 @@
 //!   ([`crate::admission`]); the `serve.overload` fault site trips the
 //!   gate shut for drills,
 //! * every request carries a [`Deadline`] (the client's
-//!   `X-Rapid-Deadline-Ms` or [`ResilienceConfig::deadline_ms`]),
-//!   charged with its queue wait; `/rerank` propagates it into the
-//!   model's [`DegradeTier`](crate::deadline::DegradeTier) ladder,
+//!   `X-Rapid-Deadline-Ms` or [`DEFAULT_DEADLINE_MS`]), charged with
+//!   its queue wait; `/rerank` propagates it into the model's
+//!   [`DegradeTier`] ladder,
 //! * a [`Breaker`] over the model path answers from passthrough while
 //!   the full path is failing,
 //! * `POST /admin/reload` hot-swaps the checkpoint artifact through
@@ -58,36 +58,25 @@
 //! with the live breaker/shed state.
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
+use rapid_obs::http::{listen, response_bytes, status_code, ConnBuf, Frame, ServeHandle};
 use serde::Value;
 
-use crate::admission::{Gate, Permit, ResilienceConfig};
+use crate::admission::{Gate, Permit, RETRY_AFTER_S};
 use crate::api;
 use crate::breaker::{Breaker, BreakerDecision};
-use crate::deadline::{Deadline, DegradeTier, FULL_FLOOR_MS};
-use crate::http::{
-    response_bytes, response_bytes_with_headers, status_code, ConnBuf, ReadOutcome, Request,
-};
+use crate::deadline::{Deadline, DegradeTier, DEFAULT_DEADLINE_MS, FULL_FLOOR_MS};
 use crate::model::{RerankError, ServeModel};
 use crate::state::UserStore;
 use crate::swap::{hot_swap, ModelSlot, SwapError};
 
-/// Listener poll cadence while idle (matches `rapid_obs::serve`).
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-/// Per-stream read/write timeout. Also bounds how long a worker waits
-/// for the next keep-alive request before recycling the connection.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Default cap on request bodies (1 MiB): batched event ingestion fits
+/// Cap on request bodies (1 MiB): batched event ingestion fits
 /// comfortably; anything larger answers `413`.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
@@ -98,8 +87,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads handling connections.
     pub workers: usize,
-    /// Request body cap in bytes.
-    pub max_body: usize,
     /// Accepted connections queued ahead of the workers; a full queue
     /// sheds at accept (`503` + `Retry-After`) instead of buffering
     /// without bound.
@@ -111,7 +98,6 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            max_body: MAX_BODY_BYTES,
             queue_capacity: 64,
         }
     }
@@ -127,36 +113,25 @@ pub struct AppState {
     pub gate: Gate,
     /// The model-path circuit breaker.
     pub breaker: Breaker,
-    /// Deadline/shedding knobs the handlers read.
-    pub resilience: ResilienceConfig,
     artifact_path: Option<PathBuf>,
-    /// Serializes hot-swaps: `/admin/reload` try-locks it (refusing a
+    /// Serializes hot-swaps: `/admin/reload` try-locks it, refusing a
     /// concurrent reload with `429` instead of queueing worker threads
-    /// behind a long candidate build) and the file watcher blocks on
-    /// it, so two swaps can never validate against the same live model
-    /// and race the `Arc` replace.
+    /// behind a long candidate build, so two swaps can never validate
+    /// against the same live model and race the `Arc` replace.
     swap_lock: Mutex<()>,
     admin_token: Option<String>,
 }
 
 impl AppState {
-    /// Wraps a booted model with a fresh user store sized to its world
-    /// and default resilience knobs.
+    /// Wraps a booted model with a fresh user store sized to its world.
     pub fn new(model: ServeModel) -> Self {
-        Self::with_resilience(model, ResilienceConfig::default())
-    }
-
-    /// [`AppState::new`] with explicit resilience knobs.
-    pub fn with_resilience(model: ServeModel, resilience: ResilienceConfig) -> Self {
         let ds = model.dataset();
         let store = UserStore::new(16, ds.users.len(), ds.num_topics());
-        let gate = Gate::new(&resilience);
         Self {
             model: ModelSlot::new(model),
             store,
-            gate,
+            gate: Gate::default(),
             breaker: Breaker::default(),
-            resilience,
             artifact_path: None,
             swap_lock: Mutex::new(()),
             admin_token: None,
@@ -164,7 +139,7 @@ impl AppState {
     }
 
     /// Tells the server where its checkpoint artifact lives, enabling
-    /// `POST /admin/reload` (and the optional file-watcher).
+    /// `POST /admin/reload`.
     #[must_use]
     pub fn with_artifact(mut self, path: PathBuf) -> Self {
         self.artifact_path = Some(path);
@@ -197,33 +172,10 @@ impl AppState {
         self
     }
 
-    /// The swap serialization lock. `/admin/reload` and the file
-    /// watcher take it around [`hot_swap`]; tests can hold it to
-    /// simulate an in-flight swap.
+    /// The swap serialization lock. `/admin/reload` takes it around
+    /// [`hot_swap`]; tests can hold it to simulate an in-flight swap.
     pub fn swap_lock(&self) -> &Mutex<()> {
         &self.swap_lock
-    }
-}
-
-/// A running server: joinable accept + worker threads and a stop flag.
-pub struct ServeHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl ServeHandle {
-    /// The bound address (useful with an ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Signals every thread to stop and joins them.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
@@ -250,13 +202,6 @@ fn declare_slos() {
     });
 }
 
-/// An accepted connection waiting for a worker, stamped so its queue
-/// wait can be charged against the first request's deadline.
-struct QueuedConn {
-    stream: TcpStream,
-    enqueued: std::time::Instant,
-}
-
 /// Binds and starts the server over `state`.
 ///
 /// # Errors
@@ -266,92 +211,38 @@ pub fn start(state: Arc<AppState>, cfg: &ServerConfig) -> std::io::Result<ServeH
     // Publish the breaker's initial (closed) state so the gauge exists
     // before the first transition.
     rapid_obs::global().gauge_set("serve.breaker_state", state.breaker.state().gauge());
-    let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::sync_channel::<QueuedConn>(cfg.queue_capacity.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut threads = Vec::with_capacity(cfg.workers + 1);
-    for _ in 0..cfg.workers.max(1) {
-        let rx = Arc::clone(&rx);
-        let state = Arc::clone(&state);
-        let stop = Arc::clone(&stop);
-        let max_body = cfg.max_body;
-        threads.push(std::thread::spawn(move || {
-            worker_loop(&rx, &state, &stop, max_body)
-        }));
-    }
-    {
-        let stop = Arc::clone(&stop);
-        let retry_after_s = state.resilience.retry_after_s;
-        threads.push(std::thread::spawn(move || {
-            accept_loop(&listener, &tx, &stop, retry_after_s);
-        }));
-    }
+    let handle = listen(
+        &cfg.addr,
+        cfg.workers,
+        cfg.queue_capacity,
+        shed_at_accept,
+        move |stream, queue_wait, stop| handle_connection(stream, &state, stop, queue_wait),
+    )?;
     rapid_obs::event!(
         rapid_obs::Level::Info,
         "serve",
-        "serving /events /rerank /aggregates /metrics /healthz /snapshot /slo /admin/reload on http://{addr}"
+        "serving /events /rerank /aggregates /metrics /healthz /snapshot /trace /slo /admin/reload on http://{}",
+        handle.addr()
     );
-    Ok(ServeHandle {
-        addr,
-        stop,
-        threads,
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &mpsc::SyncSender<QueuedConn>,
-    stop: &AtomicBool,
-    retry_after_s: u64,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                let _ = stream.set_nodelay(true);
-                let conn = QueuedConn {
-                    stream,
-                    enqueued: rapid_obs::clock::now(),
-                };
-                match tx.try_send(conn) {
-                    Ok(()) => {}
-                    Err(mpsc::TrySendError::Full(conn)) => {
-                        shed_at_accept(conn.stream, retry_after_s);
-                    }
-                    Err(mpsc::TrySendError::Disconnected(_)) => {
-                        return; // all workers gone; shutting down
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
+    Ok(handle)
 }
 
 /// Answers a connection the full queue cannot hold: a canned `503` with
 /// `Retry-After` and a trace id, then close. Fast refusal is the whole
 /// point — the alternative is an unbounded queue whose p99 grows until
 /// every response is late.
-fn shed_at_accept(mut stream: TcpStream, retry_after_s: u64) {
+fn shed_at_accept(mut stream: TcpStream) {
     let trace = rapid_obs::trace::start_request("queue");
     let status = "503 Service Unavailable";
     rapid_obs::global().counter_add("serve.shed", 1);
     count("queue", status);
-    let retry_after = retry_after_s.to_string();
+    let retry_after = RETRY_AFTER_S.to_string();
     let mut extra: Vec<(&str, &str)> = vec![("Retry-After", &retry_after)];
     let trace_header = trace.trace_id().map(|id| format!("{id:016x}"));
     if let Some(id) = trace_header.as_deref() {
         extra.push(("X-Rapid-Trace-Id", id));
     }
-    let bytes = response_bytes_with_headers(
+    let bytes = response_bytes(
         status,
         "application/json",
         &api::error_body("connection queue full; retry later"),
@@ -359,31 +250,6 @@ fn shed_at_accept(mut stream: TcpStream, retry_after_s: u64) {
         &extra,
     );
     let _ = stream.write_all(&bytes);
-}
-
-fn worker_loop(
-    rx: &Mutex<mpsc::Receiver<QueuedConn>>,
-    state: &AppState,
-    stop: &AtomicBool,
-    max_body: usize,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        let next = {
-            let guard = match rx.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.recv_timeout(Duration::from_millis(50))
-        };
-        match next {
-            Ok(conn) => {
-                let waited = conn.enqueued.elapsed();
-                handle_connection(conn.stream, state, stop, max_body, waited);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
 }
 
 /// One handler response plus the resilience metadata the transport
@@ -410,14 +276,14 @@ impl Reply {
 
     /// A shed: counted as `serve.shed`, stamped with `Retry-After`,
     /// never marked as an SLO error.
-    fn shed(status: &'static str, state: &AppState, why: &str) -> Self {
+    fn shed(status: &'static str, why: &str) -> Self {
         rapid_obs::global().counter_add("serve.shed", 1);
         Self {
             status,
             content_type: "application/json",
             body: api::error_body(why),
             shed: true,
-            retry_after_s: Some(state.resilience.retry_after_s),
+            retry_after_s: Some(RETRY_AFTER_S),
         }
     }
 }
@@ -430,32 +296,25 @@ fn handle_connection(
     mut stream: TcpStream,
     state: &AppState,
     stop: &AtomicBool,
-    max_body: usize,
     queue_wait: Duration,
 ) {
     let mut conn = ConnBuf::new();
     let mut queue_wait = Some(queue_wait);
     while !stop.load(Ordering::SeqCst) {
-        let outcome = conn.read_request(&mut stream, max_body);
-        let (request, framing_reply) = match outcome {
-            ReadOutcome::Request(r) => (Some(r), None),
-            ReadOutcome::Closed => return,
-            ReadOutcome::HeadersTooLarge => (
-                None,
-                Some(("431 Request Header Fields Too Large", "headers too large")),
-            ),
-            ReadOutcome::BodyTooLarge => (None, Some(("413 Payload Too Large", "body too large"))),
-            ReadOutcome::Malformed(why) => (None, Some(("400 Bad Request", why))),
+        let request = match conn.read_frame(&mut stream, MAX_BODY_BYTES) {
+            Ok(request) => request,
+            Err(e) => {
+                // Framing errors poison the byte stream, so answer and
+                // close rather than trying to resynchronise.
+                if let Some((status, why)) = e.status() {
+                    count(request_key(None), status);
+                    let body = api::error_body(why);
+                    let bytes = response_bytes(status, "application/json", &body, false, &[]);
+                    let _ = stream.write_all(&bytes);
+                }
+                return;
+            }
         };
-        if let Some((status, why)) = framing_reply {
-            // Framing errors poison the byte stream, so answer and
-            // close rather than trying to resynchronise.
-            count(request_key(None), status);
-            let bytes = response_bytes(status, "application/json", &api::error_body(why), false);
-            let _ = stream.write_all(&bytes);
-            return;
-        }
-        let Some(request) = request else { return };
 
         // One trace per request, minted *before* the fault site so
         // injected faults are stamped with this request's trace id.
@@ -488,12 +347,13 @@ fn handle_connection(
         // default. The first request on a connection pays for its time
         // in the accept queue.
         let budget_ms = request
-            .deadline_ms
-            .unwrap_or(state.resilience.deadline_ms)
+            .header("x-rapid-deadline-ms")
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(DEFAULT_DEADLINE_MS)
             .max(1);
         let deadline = Deadline::after_wait(budget_ms, queue_wait.take().unwrap_or_default());
 
-        let keep_alive = request.keep_alive;
+        let keep_alive = request.keep_alive();
         let r0 = rapid_obs::clock::now();
         let r0_us = rapid_obs::clock::wall_micros();
         let handled = catch_unwind(AssertUnwindSafe(|| {
@@ -519,7 +379,7 @@ fn handle_connection(
                 if let Some(after) = retry_header.as_deref() {
                     extra.push(("Retry-After", after));
                 }
-                let bytes = response_bytes_with_headers(
+                let bytes = response_bytes(
                     reply.status,
                     reply.content_type,
                     &reply.body,
@@ -544,34 +404,31 @@ fn handle_connection(
 /// Answers a caught handler panic with a 500 and closes the connection
 /// (its framing state is no longer trustworthy). The trace id still
 /// rides the response so the failed request stays correlatable.
-fn respond_panic(stream: &mut TcpStream, request: &Request, trace_id: Option<u64>) {
+fn respond_panic(stream: &mut TcpStream, request: &Frame, trace_id: Option<u64>) {
     let status = "500 Internal Server Error";
     rapid_obs::global().counter_add("serve.panics", 1);
     count(request_key(Some(request)), status);
     let body = api::error_body("handler panicked");
-    let bytes = match trace_id {
-        Some(id) => response_bytes_with_headers(
-            status,
-            "application/json",
-            &body,
-            false,
-            &[("X-Rapid-Trace-Id", &format!("{id:016x}"))],
-        ),
-        None => response_bytes(status, "application/json", &body, false),
-    };
+    let trace_header = trace_id.map(|id| format!("{id:016x}"));
+    let mut extra: Vec<(&str, &str)> = Vec::new();
+    if let Some(id) = trace_header.as_deref() {
+        extra.push(("X-Rapid-Trace-Id", id));
+    }
+    let bytes = response_bytes(status, "application/json", &body, false, &extra);
     let _ = stream.write_all(&bytes);
 }
 
 /// The counter key segment for a request's endpoint (unknown paths
 /// collapse into `other` so hostile scans cannot mint counters).
-fn request_key(request: Option<&Request>) -> &'static str {
-    match request.map(|r| r.path.as_str()) {
+fn request_key(request: Option<&Frame>) -> &'static str {
+    match request.map(Frame::path) {
         Some("/events") => "events",
         Some("/rerank") => "rerank",
         Some("/aggregates") => "aggregates",
         Some("/metrics") => "metrics",
         Some("/healthz") => "healthz",
         Some("/snapshot") => "snapshot",
+        Some("/trace") => "trace",
         Some("/slo") => "slo",
         Some("/admin/reload") => "reload",
         _ => "other",
@@ -594,7 +451,6 @@ fn admit<'a>(
     if rapid_faults::is_tripped("serve.overload") {
         return Err(Reply::shed(
             "503 Service Unavailable",
-            state,
             "overload drill: admission gate tripped",
         ));
     }
@@ -602,38 +458,23 @@ fn admit<'a>(
         Some(p) => Ok(p),
         None => Err(Reply::shed(
             "429 Too Many Requests",
-            state,
             &format!("{endpoint} concurrency limit reached; retry later"),
         )),
     }
 }
 
-/// Dispatches one parsed request to its handler. `trace` is this
+/// Dispatches one parsed request to its handler; paths the service
+/// does not own fall through to the telemetry table. `trace` is this
 /// request's live guard; handlers that want tail-exemplar capture arm
 /// it here. `deadline` is the request's remaining budget (queue wait
 /// already charged).
 fn route(
-    request: &Request,
+    request: &Frame,
     state: &AppState,
     trace: &mut rapid_obs::trace::TraceGuard,
     deadline: &Deadline,
 ) -> Reply {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Reply::new(
-            "200 OK",
-            "text/plain; charset=utf-8",
-            "ok\n".to_string(),
-        ),
-        ("GET", "/metrics") => Reply::new(
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            rapid_obs::global().snapshot().to_prometheus(),
-        ),
-        ("GET", "/snapshot") => Reply::new(
-            "200 OK",
-            "application/x-ndjson",
-            rapid_obs::global().snapshot().to_ndjson(),
-        ),
+    match (request.method(), request.path()) {
         ("GET", "/aggregates") => {
             Reply::new("200 OK", "application/json", aggregates_body(state))
         }
@@ -641,23 +482,27 @@ fn route(
         ("POST", "/events") => handle_events(request, state),
         ("POST", "/rerank") => handle_rerank(request, state, trace, deadline),
         ("POST", "/admin/reload") => handle_reload(request, state),
-        ("GET", "/events" | "/rerank" | "/admin/reload")
-        | ("POST", "/healthz" | "/metrics" | "/snapshot" | "/aggregates" | "/slo") => Reply::new(
-            "405 Method Not Allowed",
-            "application/json",
-            api::error_body("method not allowed"),
-        ),
-        _ => Reply::new(
-            "404 Not Found",
-            "application/json",
-            api::error_body(
-                "not found; try /events /rerank /aggregates /metrics /healthz /snapshot /slo /admin/reload",
+        ("GET", "/events" | "/rerank" | "/admin/reload") | ("POST", "/aggregates" | "/slo") => {
+            Reply::new(
+                "405 Method Not Allowed",
+                "application/json",
+                api::error_body("method not allowed"),
+            )
+        }
+        (method, path) => match rapid_obs::serve::route(rapid_obs::global(), method, path) {
+            Some((status, content_type, body)) => Reply::new(status, content_type, body),
+            None => Reply::new(
+                "404 Not Found",
+                "application/json",
+                api::error_body(
+                    "not found; try /events /rerank /aggregates /metrics /healthz /snapshot /trace /slo /admin/reload",
+                ),
             ),
-        ),
+        },
     }
 }
 
-fn handle_events(request: &Request, state: &AppState) -> Reply {
+fn handle_events(request: &Frame, state: &AppState) -> Reply {
     let _permit = match admit(state, Gate::enter_events, "/events") {
         Ok(p) => p,
         Err(shed) => return shed,
@@ -693,7 +538,7 @@ fn handle_events(request: &Request, state: &AppState) -> Reply {
 }
 
 fn handle_rerank(
-    request: &Request,
+    request: &Frame,
     state: &AppState,
     trace: &mut rapid_obs::trace::TraceGuard,
     deadline: &Deadline,
@@ -725,7 +570,6 @@ fn handle_rerank(
     if deadline.expired() {
         return Reply::shed(
             "503 Service Unavailable",
-            state,
             "deadline exhausted before the model; retry with a larger budget",
         );
     }
@@ -847,9 +691,9 @@ fn handle_rerank(
 /// magnitude heavier than a request, so concurrent reloads would both
 /// starve the worker pool and race the `Arc` replace — the second and
 /// later callers are refused immediately instead.
-fn handle_reload(request: &Request, state: &AppState) -> Reply {
+fn handle_reload(request: &Frame, state: &AppState) -> Reply {
     if let Some(expected) = state.admin_token.as_deref() {
-        if request.admin_token.as_deref() != Some(expected) {
+        if request.header("x-rapid-admin-token") != Some(expected) {
             return Reply::new(
                 "401 Unauthorized",
                 "application/json",
@@ -861,7 +705,9 @@ fn handle_reload(request: &Request, state: &AppState) -> Reply {
         return Reply::new(
             "409 Conflict",
             "application/json",
-            api::error_body("no artifact path configured; boot the server with one to enable reload"),
+            api::error_body(
+                "no artifact path configured; boot the server with one to enable reload",
+            ),
         );
     };
     let _swapping = match state.swap_lock.try_lock() {
@@ -873,7 +719,7 @@ fn handle_reload(request: &Request, state: &AppState) -> Reply {
                 "application/json",
                 api::error_body("a reload is already in progress; retry later"),
             );
-            reply.retry_after_s = Some(state.resilience.retry_after_s);
+            reply.retry_after_s = Some(RETRY_AFTER_S);
             return reply;
         }
     };

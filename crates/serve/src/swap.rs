@@ -1,7 +1,7 @@
 //! Zero-downtime checkpoint hot-swap.
 //!
-//! `POST /admin/reload` (or the optional file-watcher) replaces the
-//! serving model without dropping a request. The state machine:
+//! `POST /admin/reload` replaces the serving model without dropping a
+//! request. The state machine:
 //!
 //! ```text
 //!          read bytes        parse + CRC        build candidate
@@ -31,11 +31,8 @@
 //! copy, making the rejection path chaos-testable without damaging the
 //! file on disk.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::Path;
 use std::sync::{Arc, RwLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use rapid_autograd::Checkpoint;
 
@@ -261,128 +258,9 @@ fn order_agreement(a: &[usize], b: &[usize]) -> f64 {
     concordant as f64 / pairs as f64
 }
 
-/// A running artifact watcher (the optional file-watch half of
-/// hot-swap).
-pub struct WatchHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl WatchHandle {
-    /// Stops the watcher and joins its thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Polls `path` every `interval` and hot-swaps through `state` whenever
-/// the artifact's [`stamp`] changes. A rejected swap is not retried
-/// until the stamp changes again, so a bad artifact cannot cause a
-/// rejection storm; because the stamp hashes the file's tail bytes, a
-/// writer completing after a torn read *does* change it — even within
-/// the filesystem's mtime granularity at the same byte length — so the
-/// finished artifact is picked up on the next poll. Swaps are
-/// serialized against `/admin/reload` through the state's swap lock.
-pub fn watch(
-    state: Arc<crate::server::AppState>,
-    path: PathBuf,
-    interval: Duration,
-) -> WatchHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let thread = std::thread::spawn(move || {
-        let mut last = stamp(&path);
-        while !stop2.load(Ordering::SeqCst) {
-            std::thread::sleep(interval);
-            let current = stamp(&path);
-            if current.is_some() && current != last {
-                last = current;
-                rapid_obs::global().counter_add("serve.swap.watch_triggers", 1);
-                let _guard = match state.swap_lock().lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let _ = hot_swap(state.model_slot(), &path);
-            }
-        }
-    });
-    WatchHandle {
-        stop,
-        thread: Some(thread),
-    }
-}
-
-/// Bytes of the artifact's tail that feed the stamp hash — enough to
-/// cover the checkpoint-v2 CRC footer, whose bytes change whenever the
-/// content does.
-const STAMP_TAIL_BYTES: u64 = 64;
-
-/// The change stamp the watcher compares: (mtime, len, tail hash).
-/// (mtime, len) alone can miss a writer that finishes in place at the
-/// same byte length within the filesystem's mtime granularity; the
-/// tail hash catches that, because the footer CRC differs whenever the
-/// content does.
-fn stamp(path: &Path) -> Option<(std::time::SystemTime, u64, u64)> {
-    let meta = std::fs::metadata(path).ok()?;
-    Some((meta.modified().ok()?, meta.len(), tail_hash(path)))
-}
-
-/// FNV-1a over the last [`STAMP_TAIL_BYTES`] of the file; 0 when the
-/// file cannot be read (the next poll retries).
-fn tail_hash(path: &Path) -> u64 {
-    use std::io::{Read, Seek, SeekFrom};
-    let Ok(mut f) = std::fs::File::open(path) else {
-        return 0;
-    };
-    let Ok(len) = f.seek(SeekFrom::End(0)) else {
-        return 0;
-    };
-    if f.seek(SeekFrom::Start(len.saturating_sub(STAMP_TAIL_BYTES)))
-        .is_err()
-    {
-        return 0;
-    }
-    let mut tail = Vec::with_capacity(STAMP_TAIL_BYTES as usize);
-    if f.read_to_end(&mut tail).is_err() {
-        return 0;
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &tail {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stamp_changes_on_a_same_length_rewrite() {
-        let dir = std::env::temp_dir().join(format!("rapid-stamp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("artifact.bin");
-
-        // Same length, different bytes: the tail hash must split the
-        // stamps even if mtime granularity makes the times collide.
-        std::fs::write(&path, vec![0xAAu8; 256]).unwrap();
-        let first = stamp(&path).expect("stamp");
-        std::fs::write(&path, vec![0xBBu8; 256]).unwrap();
-        let second = stamp(&path).expect("stamp");
-        assert_eq!(first.1, second.1, "lengths are equal by construction");
-        assert_ne!(first.2, second.2, "tail hash must track content");
-        assert_ne!(first, second);
-
-        // Files shorter than the probe window still stamp cleanly.
-        std::fs::write(&path, b"tiny").unwrap();
-        assert!(stamp(&path).is_some());
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn order_agreement_is_one_for_identical_and_low_for_reversed() {

@@ -41,7 +41,7 @@ fn server_addr() -> SocketAddr {
 }
 
 #[test]
-fn healthz_metrics_and_snapshot_respond() {
+fn telemetry_routes_respond() {
     let mut c = Client::new(server_addr());
     let health = c.get("/healthz").unwrap();
     assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
@@ -53,6 +53,9 @@ fn healthz_metrics_and_snapshot_respond() {
         snapshot.body.contains("\"type\":\"meta\""),
         "snapshot must be registry NDJSON"
     );
+    let trace = c.get("/trace").unwrap();
+    assert_eq!(trace.status, 200);
+    assert!(trace.body.contains("\"traceEvents\""), "{}", trace.body);
 }
 
 #[test]
@@ -95,7 +98,12 @@ fn tiny_client_deadlines_degrade_per_request_without_tripping_the_breaker() {
         let r = c
             .post_with_deadline("/rerank", r#"{"user": 42}"#, 3)
             .unwrap();
-        assert!(r.status == 200 || r.status == 503, "{} {}", r.status, r.body);
+        assert!(
+            r.status == 200 || r.status == 503,
+            "{} {}",
+            r.status,
+            r.body
+        );
         if r.status == 200 {
             let v = serde_json::parse_value(&r.body).unwrap();
             assert_ne!(
@@ -106,7 +114,10 @@ fn tiny_client_deadlines_degrade_per_request_without_tripping_the_breaker() {
             degraded += 1;
         }
     }
-    assert!(degraded > 0, "every tiny-budget request shed; none degraded");
+    assert!(
+        degraded > 0,
+        "every tiny-budget request shed; none degraded"
+    );
     let slo = c.get("/slo").unwrap();
     assert_eq!(slo.status, 200);
     let v = serde_json::parse_value(&slo.body).unwrap();
@@ -209,6 +220,7 @@ fn unknown_paths_and_wrong_methods_are_refused() {
     assert_eq!(c.get("/rerank").unwrap().status, 405);
     assert_eq!(c.post("/healthz", "{}").unwrap().status, 405);
     assert_eq!(c.post("/slo", "{}").unwrap().status, 405);
+    assert_eq!(c.post("/trace", "{}").unwrap().status, 405);
 }
 
 #[test]
@@ -301,6 +313,23 @@ fn truncated_body_is_rejected_with_400() {
     let mut response = String::new();
     let _ = s.read_to_string(&mut response);
     assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+}
+
+#[test]
+fn unparsable_deadline_hints_fall_back_to_the_default() {
+    // A deadline is an optimisation hint, never a reason to 400.
+    let mut s = TcpStream::connect(server_addr()).unwrap();
+    let body = r#"{"user": 42}"#;
+    write!(
+        s,
+        "POST /rerank HTTP/1.1\r\nX-Rapid-Deadline-Ms: soon\r\nConnection: close\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    let _ = s.read_to_string(&mut response);
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
 }
 
 #[test]
