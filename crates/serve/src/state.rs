@@ -46,7 +46,7 @@ pub struct UserState {
     /// zeros until the first click).
     pub pref: Vec<f32>,
     /// Recent item ids, oldest first, capped at [`HISTORY_CAP`].
-    pub history: Vec<usize>,
+    pub history: Vec<u32>,
     /// Events applied to this user (replays excluded).
     pub events: u64,
     /// Highest event sequence number applied so far.
@@ -131,10 +131,15 @@ impl UserStore {
             state.last_seq = s;
         }
         state.events += 1;
-        if state.history.len() >= HISTORY_CAP {
-            state.history.remove(0);
+        // Item ids index the world's catalogue, which stays far below
+        // `u32::MAX` items; an id past it is left out of the history
+        // rather than truncated onto another item.
+        if let Ok(item) = u32::try_from(item) {
+            if state.history.len() >= HISTORY_CAP {
+                state.history.remove(0);
+            }
+            state.history.push(item);
         }
-        state.history.push(item);
         if let Some(cov) = clicked_coverage {
             for (p, &c) in state.pref.iter_mut().zip(cov) {
                 *p = (1.0 - PREF_ALPHA) * *p + PREF_ALPHA * c;
@@ -210,6 +215,18 @@ mod tests {
         assert_eq!(u.history.len(), HISTORY_CAP);
         assert_eq!(u.history[0], 10, "oldest items evicted first");
         assert_eq!(u.events, (HISTORY_CAP + 10) as u64);
+    }
+
+    #[test]
+    fn item_ids_past_u32_are_left_out_of_the_history() {
+        let s = store();
+        s.apply_event(1, 3, None, None);
+        if let Ok(big) = usize::try_from(u64::from(u32::MAX) + 1) {
+            assert_eq!(s.apply_event(1, big, None, None), EventOutcome::Applied);
+            let u = s.get(1).unwrap();
+            assert_eq!(u.history, vec![3], "not truncated onto item 0");
+            assert_eq!(u.events, 2);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! End-to-end API tests against a live server: happy paths, hostile
-//! HTTP input (oversized body, truncated JSON, unknown users, replayed
+//! HTTP input (oversized body, truncated or deep JSON, unknown users, replayed
 //! events), and a raw-bytes fuzz pass in the PR-5 hostile-bytes style.
 
 use std::io::{Read, Write};
@@ -211,6 +211,21 @@ fn truncated_json_and_bad_fields_get_400() {
     let r = c.post("/rerank", r#"{"user": 1, "k": 10000}"#).unwrap();
     assert_eq!(r.status, 400);
     assert!(r.body.contains("maximum"), "{}", r.body);
+}
+
+#[test]
+fn deeply_nested_bodies_get_400_and_the_server_survives() {
+    // The parser recurses once per `[`: without its nesting cap, this
+    // body overflows a worker's stack and aborts the whole process.
+    let deep = "[".repeat(100_000);
+    let mut c = Client::new(server_addr());
+    for path in ["/events", "/rerank"] {
+        let r = c.post(path, &deep).unwrap();
+        assert_eq!(r.status, 400, "{path} → {}", r.body);
+        assert!(r.body.contains("nesting"), "{}", r.body);
+    }
+    let health = Client::new(server_addr()).get("/healthz").unwrap();
+    assert_eq!(health.status, 200);
 }
 
 #[test]
