@@ -12,8 +12,10 @@
 //!   pass; [`Var`] is an index into it. Each node stores its value, an op
 //!   tag ([`op::Op`]) naming how it was computed, and its parents.
 //! * [`ParamStore`] — named trainable parameters living *outside* the
-//!   tape. A fresh tape is built per training step; parameter leaves are
-//!   bound by id and gradients are accumulated back into the store.
+//!   tape. A fresh tape is built per training step; parameter leaves
+//!   share the store's values instead of copying them, and gradients are
+//!   accumulated back into the store. Only nodes that some parameter
+//!   reaches get a gradient (see [`Tape::backward`]).
 //! * [`optim`] — SGD and Adam. Adam carries an always-on non-finite
 //!   gradient guard that aborts the run naming the offending parameter
 //!   instead of corrupting every weight it touches.
@@ -35,7 +37,7 @@
 //! which keeps the arena's capacity but invalidates every [`Var`]
 //! handed out before the clear. Each `clear` bumps the tape's *epoch*
 //! ([`Tape::epoch`]); in debug builds every `Var` carries the epoch it
-//! was recorded in and `value`/`grad`/`backward` assert the epochs
+//! was recorded in and `value`/`backward` assert the epochs
 //! match, so a stale handle panics with both epochs instead of silently
 //! reading whatever node refilled its slot. Release builds carry no
 //! epoch field — a `Var` stays a plain index. Whole-graph structural

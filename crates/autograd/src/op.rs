@@ -103,15 +103,26 @@ impl Op {
 
     /// Parents of this node, in order.
     pub fn parents(&self) -> Vec<Var> {
+        let mut out = Vec::new();
+        self.for_each_parent(|p| out.push(p));
+        out
+    }
+
+    /// Calls `f` on each parent, in [`Op::parents`] order, without
+    /// allocating.
+    pub fn for_each_parent(&self, mut f: impl FnMut(Var)) {
         match self {
-            Op::Leaf => vec![],
+            Op::Leaf => {}
             Op::MatMul(a, b)
             | Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::AddRowBroadcast(a, b)
             | Op::MulRowBroadcast(a, b)
-            | Op::MulColBroadcast(a, b) => vec![*a, *b],
+            | Op::MulColBroadcast(a, b) => {
+                f(*a);
+                f(*b);
+            }
             Op::Transpose(a)
             | Op::Scale(a, _)
             | Op::AddScalar(a, _)
@@ -124,11 +135,11 @@ impl Op {
             | Op::SliceCols(a, _, _)
             | Op::SliceRows(a, _, _)
             | Op::SumAll(a)
-            | Op::MeanAll(a) => vec![*a],
-            Op::ConcatCols(vs) | Op::ConcatRows(vs) => vs.clone(),
-            Op::BceWithLogits { logits, .. } => vec![*logits],
-            Op::Mse { pred, .. } => vec![*pred],
-            Op::PairwiseLogistic { scores, .. } => vec![*scores],
+            | Op::MeanAll(a) => f(*a),
+            Op::ConcatCols(vs) | Op::ConcatRows(vs) => vs.iter().copied().for_each(f),
+            Op::BceWithLogits { logits, .. } => f(*logits),
+            Op::Mse { pred, .. } => f(*pred),
+            Op::PairwiseLogistic { scores, .. } => f(*scores),
         }
     }
 }

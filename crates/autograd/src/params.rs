@@ -1,6 +1,7 @@
 //! Trainable parameter storage shared across training steps.
 
 use rapid_tensor::Matrix;
+use std::sync::Arc;
 
 /// Opaque handle to a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,7 +21,8 @@ impl ParamId {
 #[derive(Debug, Clone)]
 struct Param {
     name: String,
-    value: Matrix,
+    /// Shared with every tape node that binds it; see [`ParamStore::value_mut`].
+    value: Arc<Matrix>,
     grad: Matrix,
 }
 
@@ -29,6 +31,11 @@ struct Param {
 /// Parameters outlive any single [`crate::Tape`]: a fresh tape is recorded
 /// for each forward/backward pass, while values and gradient accumulators
 /// stay here. Optimizers ([`crate::optim`]) update the store in place.
+///
+/// Each value sits behind an [`Arc`]: [`crate::Tape::param`] binds it by
+/// reference instead of copying it, and [`ParamStore::value_mut`] copies
+/// a value only while a tape still holds it. Cloning a store shares the
+/// values the same way.
 #[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
@@ -48,7 +55,7 @@ impl ParamStore {
         let grad = Matrix::zeros(value.rows(), value.cols());
         self.params.push(Param {
             name: name.into(),
-            value,
+            value: Arc::new(value),
             grad,
         });
         ParamId(self.params.len() - 1)
@@ -79,9 +86,21 @@ impl ParamStore {
         &self.params[id.0].value
     }
 
+    /// The shared value a tape binds.
+    pub(crate) fn shared_value(&self, id: ParamId) -> &Arc<Matrix> {
+        &self.params[id.0].value
+    }
+
+    /// Replaces a value with one shared with another store.
+    pub(crate) fn set_shared_value(&mut self, id: ParamId, value: Arc<Matrix>) {
+        self.params[id.0].value = value;
+    }
+
     /// Mutable value of a parameter (used by optimizers and tests).
+    /// Copy-on-write: a tape that still binds the value keeps the old
+    /// one.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.params[id.0].value
+        Arc::make_mut(&mut self.params[id.0].value)
     }
 
     /// Accumulated gradient of a parameter.

@@ -93,7 +93,7 @@ impl ParamStore {
                     self.value(id).shape()
                 )));
             }
-            *self.value_mut(id) = value.clone();
+            self.set_shared_value(id, std::sync::Arc::clone(other.shared_value(*src)));
         }
         Ok(())
     }

@@ -6,6 +6,8 @@ use crate::params::{ParamId, ParamStore};
 #[cfg(feature = "obs-profile")]
 use crate::profile::TapeProfiler;
 use rapid_tensor::Matrix;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Index of a node on a [`Tape`].
 ///
@@ -48,12 +50,55 @@ impl std::hash::Hash for Var {
     }
 }
 
+/// A node's value: computed by the tape, or a parameter's value shared
+/// with its [`ParamStore`].
+enum Value {
+    Owned(Matrix),
+    Bound(Arc<Matrix>),
+}
+
+impl Deref for Value {
+    type Target = Matrix;
+
+    fn deref(&self) -> &Matrix {
+        match self {
+            Value::Owned(m) => m,
+            Value::Bound(m) => m,
+        }
+    }
+}
+
+/// How the ops recorded so far read a parameter leaf.
+#[derive(Clone, Copy)]
+enum LeafUse {
+    Unused,
+    /// Only as the right operand of the matmul at this index: a
+    /// *weight binding*, whose gradient [`Tape::backward`] computes
+    /// straight into the store instead of onto the tape.
+    WeightOf(usize),
+    /// Any other use, or more than one.
+    Other,
+}
+
 struct Node {
-    value: Matrix,
+    value: Value,
     grad: Option<Matrix>,
     op: Op,
     /// `Some` when this leaf is bound to a trainable parameter.
     param: Option<ParamId>,
+    /// Some parameter reaches this node: it is a parameter leaf or has a
+    /// parent that needs a gradient. Only such nodes get one.
+    needs_grad: bool,
+    /// Tracked for parameter leaves only.
+    uses: LeafUse,
+}
+
+impl Node {
+    /// Whether a backward rule writes a gradient for this node onto the
+    /// tape.
+    fn takes_grad(&self) -> bool {
+        self.needs_grad && !matches!(self.uses, LeafUse::WeightOf(_))
+    }
 }
 
 /// A single forward pass recorded as a flat arena of nodes.
@@ -67,6 +112,9 @@ pub struct Tape {
     /// Generation counter, bumped by [`Tape::clear`]. Stamped into
     /// `Var`s in debug builds to catch use-after-clear.
     epoch: u64,
+    /// Reused buffer for one weight binding's gradient on its way to the
+    /// store; kept across [`Tape::clear`].
+    weight_grad: Matrix,
     /// Per-op forward/backward timing, flushed to the global `rapid-obs`
     /// registry on [`Tape::clear`] and on drop.
     #[cfg(feature = "obs-profile")]
@@ -148,7 +196,11 @@ impl Tape {
         let _ = v;
     }
 
-    fn push(&mut self, value: Matrix, op: Op, param: Option<ParamId>) -> Var {
+    fn push(&mut self, value: Matrix, op: Op) -> Var {
+        self.push_value(Value::Owned(value), op, None)
+    }
+
+    fn push_value(&mut self, value: Value, op: Op, param: Option<ParamId>) -> Var {
         debug_assert!(
             value.is_finite(),
             "tape node {:?} produced non-finite values",
@@ -156,29 +208,44 @@ impl Tape {
         );
         #[cfg(feature = "obs-profile")]
         self.profiler.on_push(op.tag());
+        self.push_node(value, op, param)
+    }
+
+    /// Appends a node, marks whether it needs a gradient, and records how
+    /// it uses its parameter-leaf parents. Parents past the end (only
+    /// [`Tape::push_unchecked`] records those) are skipped.
+    fn push_node(&mut self, value: Value, op: Op, param: Option<ParamId>) -> Var {
+        let idx = self.nodes.len();
+        let mut needs_grad = param.is_some();
+        let is_matmul = matches!(op, Op::MatMul(..));
+        let mut slot = 0;
+        op.for_each_parent(|p| {
+            if let Some(parent) = self.nodes.get_mut(p.idx) {
+                needs_grad |= parent.needs_grad;
+                if parent.param.is_some() {
+                    parent.uses = match parent.uses {
+                        LeafUse::Unused if is_matmul && slot == 1 => LeafUse::WeightOf(idx),
+                        _ => LeafUse::Other,
+                    };
+                }
+            }
+            slot += 1;
+        });
         self.nodes.push(Node {
             value,
             grad: None,
             op,
             param,
+            needs_grad,
+            uses: LeafUse::Unused,
         });
-        self.mk_var(self.nodes.len() - 1)
+        self.mk_var(idx)
     }
 
     /// Value of a node.
     pub fn value(&self, v: Var) -> &Matrix {
         self.check_var(v);
         &self.nodes[v.idx].value
-    }
-
-    /// Gradient of a node after [`Tape::backward`]; zero matrix if the
-    /// node did not participate in the loss.
-    pub fn grad(&self, v: Var) -> Matrix {
-        self.check_var(v);
-        let n = &self.nodes[v.idx];
-        n.grad
-            .clone()
-            .unwrap_or_else(|| Matrix::zeros(n.value.rows(), n.value.cols()))
     }
 
     // -----------------------------------------------------------------
@@ -201,26 +268,31 @@ impl Tape {
         self.nodes[i].param
     }
 
-    /// Shape of node `i`'s gradient buffer, or `None` when no gradient
-    /// has been accumulated there (the node is outside the loss cone or
-    /// [`Tape::backward`] has not run). Panics if `i` is out of range.
+    /// Shape of node `i`'s gradient buffer, or `None` when the node
+    /// holds no gradient. After [`Tape::backward`] a node holds one iff
+    /// it is in the loss's backward cone, some parameter reaches it, and
+    /// it is not a weight binding (a parameter leaf read only as the
+    /// right operand of one matmul, whose gradient goes straight to the
+    /// store). Panics if `i` is out of range.
     pub fn node_grad_shape(&self, i: usize) -> Option<(usize, usize)> {
         self.nodes[i].grad.as_ref().map(|g| g.shape())
     }
 
-    /// Total bytes currently held by the tape's value buffers (`f32`
-    /// elements; shape metadata is not counted). The measured side of
-    /// the `rapid-check` liveness/memory-planning bound.
+    /// Total bytes of the value buffers the tape owns (`f32` elements;
+    /// shape metadata is not counted). Parameter bindings share the
+    /// store's buffers and count zero. The measured side of the
+    /// `rapid-check` liveness/memory-planning bound.
     pub fn value_bytes(&self) -> usize {
         self.nodes
             .iter()
+            .filter(|n| matches!(n.value, Value::Owned(_)))
             .map(|n| n.value.len() * std::mem::size_of::<f32>())
             .sum()
     }
 
     /// Total bytes currently held by allocated gradient buffers. Zero
-    /// before [`Tape::backward`]; afterwards, exactly the nodes the
-    /// reverse sweep touched.
+    /// before [`Tape::backward`]; afterwards, exactly the nodes
+    /// [`Tape::node_grad_shape`] reports.
     pub fn grad_bytes(&self) -> usize {
         self.nodes
             .iter()
@@ -245,28 +317,26 @@ impl Tape {
     /// model code.
     #[doc(hidden)]
     pub fn push_unchecked(&mut self, value: Matrix, op: Op) -> Var {
-        self.nodes.push(Node {
-            value,
-            grad: None,
-            op,
-            param: None,
-        });
-        self.mk_var(self.nodes.len() - 1)
+        self.push_node(Value::Owned(value), op, None)
     }
 
     // -----------------------------------------------------------------
     // Leaves
     // -----------------------------------------------------------------
 
-    /// Records a constant (input) leaf. No gradient flows out of it.
+    /// Records a constant (input) leaf. It gets no gradient, and neither
+    /// does any node computed only from constants.
     pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf, None)
+        self.push(value, Op::Leaf)
     }
 
-    /// Binds a parameter from `store` as a leaf; its gradient is
-    /// accumulated back into the store by [`Tape::backward`].
+    /// Binds a parameter from `store` as a leaf, sharing the store's
+    /// value rather than copying it; its gradient is accumulated back
+    /// into the store by [`Tape::backward`]. Bind once per use: each
+    /// binding's gradient reaches the store as one term.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.push(store.value(id).clone(), Op::Leaf, Some(id))
+        let value = Value::Bound(Arc::clone(store.shared_value(id)));
+        self.push_value(value, Op::Leaf, Some(id))
     }
 
     // -----------------------------------------------------------------
@@ -276,55 +346,55 @@ impl Tape {
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).matmul(self.value(b));
-        self.push(v, Op::MatMul(a, b), None)
+        self.push(v, Op::MatMul(a, b))
     }
 
     /// Transpose.
     pub fn transpose(&mut self, a: Var) -> Var {
         let v = self.value(a).transpose();
-        self.push(v, Op::Transpose(a), None)
+        self.push(v, Op::Transpose(a))
     }
 
     /// Elementwise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).add(self.value(b));
-        self.push(v, Op::Add(a, b), None)
+        self.push(v, Op::Add(a, b))
     }
 
     /// Elementwise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).sub(self.value(b));
-        self.push(v, Op::Sub(a, b), None)
+        self.push(v, Op::Sub(a, b))
     }
 
     /// Elementwise product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).mul(self.value(b));
-        self.push(v, Op::Mul(a, b), None)
+        self.push(v, Op::Mul(a, b))
     }
 
     /// Scalar multiple.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
         let v = self.value(a).scale(s);
-        self.push(v, Op::Scale(a, s), None)
+        self.push(v, Op::Scale(a, s))
     }
 
     /// Scalar offset.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
         let v = self.value(a).add_scalar(s);
-        self.push(v, Op::AddScalar(a, s), None)
+        self.push(v, Op::AddScalar(a, s))
     }
 
     /// Bias add: `(n,m) + (1,m)`.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
         let v = self.value(a).add_row_broadcast(self.value(bias));
-        self.push(v, Op::AddRowBroadcast(a, bias), None)
+        self.push(v, Op::AddRowBroadcast(a, bias))
     }
 
     /// Row-wise scaling: `(n,m) ⊙ (1,m)`.
     pub fn mul_row_broadcast(&mut self, a: Var, w: Var) -> Var {
         let v = self.value(a).mul_row_broadcast(self.value(w));
-        self.push(v, Op::MulRowBroadcast(a, w), None)
+        self.push(v, Op::MulRowBroadcast(a, w))
     }
 
     /// Per-row scaling: `(n,m) ⊙ (n,1)`.
@@ -346,37 +416,37 @@ impl Tape {
                 *v *= s;
             }
         }
-        self.push(out, Op::MulColBroadcast(a, w), None)
+        self.push(out, Op::MulColBroadcast(a, w))
     }
 
     /// Elementwise sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let v = self.value(a).sigmoid();
-        self.push(v, Op::Sigmoid(a), None)
+        self.push(v, Op::Sigmoid(a))
     }
 
     /// Elementwise tanh.
     pub fn tanh(&mut self, a: Var) -> Var {
         let v = self.value(a).tanh();
-        self.push(v, Op::Tanh(a), None)
+        self.push(v, Op::Tanh(a))
     }
 
     /// Elementwise ReLU.
     pub fn relu(&mut self, a: Var) -> Var {
         let v = self.value(a).relu();
-        self.push(v, Op::Relu(a), None)
+        self.push(v, Op::Relu(a))
     }
 
     /// Elementwise softplus `ln(1 + eˣ)` in stable form.
     pub fn softplus(&mut self, a: Var) -> Var {
         let v = self.value(a).map(|x| x.max(0.0) + (-x.abs()).exp().ln_1p());
-        self.push(v, Op::Softplus(a), None)
+        self.push(v, Op::Softplus(a))
     }
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let v = self.value(a).softmax_rows();
-        self.push(v, Op::SoftmaxRows(a), None)
+        self.push(v, Op::SoftmaxRows(a))
     }
 
     /// Row-wise standardisation `(x − μ) / sqrt(σ² + eps)` — the
@@ -395,7 +465,7 @@ impl Tape {
                 *v = (*v - mean) * inv;
             }
         }
-        self.push(out, Op::NormalizeRows(a, eps), None)
+        self.push(out, Op::NormalizeRows(a, eps))
     }
 
     /// Horizontal concatenation of two or more vars.
@@ -403,7 +473,7 @@ impl Tape {
         assert!(!parts.is_empty(), "concat_cols: no parts");
         let mats: Vec<&Matrix> = parts.iter().map(|p| self.value(*p)).collect();
         let v = Matrix::concat_cols_all(&mats);
-        self.push(v, Op::ConcatCols(parts.to_vec()), None)
+        self.push(v, Op::ConcatCols(parts.to_vec()))
     }
 
     /// Vertical concatenation of two or more vars.
@@ -411,36 +481,36 @@ impl Tape {
         assert!(!parts.is_empty(), "concat_rows: no parts");
         let mats: Vec<&Matrix> = parts.iter().map(|p| self.value(*p)).collect();
         let v = Matrix::concat_rows_all(&mats);
-        self.push(v, Op::ConcatRows(parts.to_vec()), None)
+        self.push(v, Op::ConcatRows(parts.to_vec()))
     }
 
     /// Copy of columns `start..end`.
     pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
         let v = self.value(a).slice_cols(start, end);
-        self.push(v, Op::SliceCols(a, start, end), None)
+        self.push(v, Op::SliceCols(a, start, end))
     }
 
     /// Copy of rows `start..end`.
     pub fn slice_rows(&mut self, a: Var, start: usize, end: usize) -> Var {
         let v = self.value(a).slice_rows(start, end);
-        self.push(v, Op::SliceRows(a, start, end), None)
+        self.push(v, Op::SliceRows(a, start, end))
     }
 
     /// `1x1` sum of all elements.
     pub fn sum_all(&mut self, a: Var) -> Var {
         let v = Matrix::full(1, 1, self.value(a).sum());
-        self.push(v, Op::SumAll(a), None)
+        self.push(v, Op::SumAll(a))
     }
 
     /// `1x1` mean of all elements.
     pub fn mean_all(&mut self, a: Var) -> Var {
         let v = Matrix::full(1, 1, self.value(a).mean());
-        self.push(v, Op::MeanAll(a), None)
+        self.push(v, Op::MeanAll(a))
     }
 
     /// Records a loss node; see [`crate::loss`] for the public helpers.
     pub(crate) fn push_loss(&mut self, value: Matrix, op: Op) -> Var {
-        self.push(value, op, None)
+        self.push(value, op)
     }
 
     // -----------------------------------------------------------------
@@ -450,8 +520,16 @@ impl Tape {
     /// Runs the reverse sweep from `root` (which must be `1x1`) and
     /// accumulates parameter gradients into `store`.
     ///
-    /// Gradients on the tape are also retained, so `tape.grad(v)` works
-    /// for inspection after this call.
+    /// Only nodes that some parameter reaches get a gradient: constants,
+    /// and anything computed only from them, get none. A weight binding
+    /// (a parameter leaf read only as the right operand `b` of one
+    /// matmul `a·b`) gets none on the tape either: after the sweep its
+    /// gradient `aᵀ·up` is computed into one reused buffer and added to
+    /// the store. Parameter gradients reach the store in ascending leaf
+    /// order, one term per binding, so each stored sum adds the same
+    /// terms in the same order whichever way a binding's term was made.
+    /// The other gradients stay on the tape; see
+    /// [`Tape::node_grad_shape`].
     ///
     /// # Panics
     /// Panics if `root` is not a `1x1` scalar node.
@@ -462,31 +540,56 @@ impl Tape {
             (1, 1),
             "backward: root must be a scalar (1x1) node"
         );
+        if !self.nodes[root.idx].needs_grad {
+            return; // no parameter reaches the loss
+        }
         self.nodes[root.idx].grad = Some(Matrix::ones(1, 1));
 
         for i in (0..=root.idx).rev() {
-            let Some(up) = self.nodes[i].grad.clone() else {
+            // Move the upstream gradient and the op out while their
+            // rule writes into the parents, then put them back.
+            let Some(up) = self.nodes[i].grad.take() else {
                 continue;
             };
-            // Split borrow: clone the op tag (cheap, small) to walk parents.
-            let op = self.nodes[i].op.clone();
+            let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
             #[cfg(feature = "obs-profile")]
             let t0 = rapid_obs::clock::now();
             self.propagate(i, &op, &up);
             #[cfg(feature = "obs-profile")]
             self.profiler.on_backward(op.tag(), t0.elapsed());
+            let node = &mut self.nodes[i];
+            node.op = op;
+            node.grad = Some(up);
         }
 
-        // Accumulate leaf gradients into the parameter store.
         for node in &self.nodes {
-            if let (Some(id), Some(g)) = (node.param, &node.grad) {
+            let Some(id) = node.param else { continue };
+            if let Some(g) = &node.grad {
                 store.grad_mut(id).add_assign(g);
+            } else if let LeafUse::WeightOf(j) = node.uses {
+                let matmul = &self.nodes[j];
+                if let (Op::MatMul(a, _), Some(up)) = (&matmul.op, &matmul.grad) {
+                    self.nodes[a.idx]
+                        .value
+                        .matmul_at_into(up, &mut self.weight_grad);
+                    store.grad_mut(id).add_assign(&self.weight_grad);
+                }
             }
         }
     }
 
+    /// `true` when node `v` takes a gradient from its consumers' rules.
+    fn wants(&self, v: Var) -> bool {
+        self.nodes[v.idx].takes_grad()
+    }
+
     fn accumulate(&mut self, v: Var, g: Matrix) {
         let node = &mut self.nodes[v.idx];
+        debug_assert!(
+            node.takes_grad(),
+            "gradient for node {} that takes none",
+            v.idx
+        );
         debug_assert_eq!(
             node.value.shape(),
             g.shape(),
@@ -500,32 +603,50 @@ impl Tape {
     }
 
     /// Applies the backward rule of node `i` (with op `op` and upstream
-    /// gradient `up`), accumulating into its parents.
+    /// gradient `up`), accumulating into the parents that take a
+    /// gradient. A single-parent node holds a gradient only if its
+    /// parent takes one, so only multi-parent rules check.
     fn propagate(&mut self, i: usize, op: &Op, up: &Matrix) {
         match op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
-                let ga = up.matmul_bt(&self.nodes[b.idx].value);
-                let gb = self.nodes[a.idx].value.matmul_at(up);
-                self.accumulate(*a, ga);
-                self.accumulate(*b, gb);
+                if self.wants(*a) {
+                    let ga = up.matmul_bt(&self.nodes[b.idx].value);
+                    self.accumulate(*a, ga);
+                }
+                if self.wants(*b) {
+                    let gb = self.nodes[a.idx].value.matmul_at(up);
+                    self.accumulate(*b, gb);
+                }
             }
             Op::Transpose(a) => {
                 self.accumulate(*a, up.transpose());
             }
             Op::Add(a, b) => {
-                self.accumulate(*a, up.clone());
-                self.accumulate(*b, up.clone());
+                if self.wants(*a) {
+                    self.accumulate(*a, up.clone());
+                }
+                if self.wants(*b) {
+                    self.accumulate(*b, up.clone());
+                }
             }
             Op::Sub(a, b) => {
-                self.accumulate(*a, up.clone());
-                self.accumulate(*b, up.scale(-1.0));
+                if self.wants(*a) {
+                    self.accumulate(*a, up.clone());
+                }
+                if self.wants(*b) {
+                    self.accumulate(*b, up.scale(-1.0));
+                }
             }
             Op::Mul(a, b) => {
-                let ga = up.mul(&self.nodes[b.idx].value);
-                let gb = up.mul(&self.nodes[a.idx].value);
-                self.accumulate(*a, ga);
-                self.accumulate(*b, gb);
+                if self.wants(*a) {
+                    let ga = up.mul(&self.nodes[b.idx].value);
+                    self.accumulate(*a, ga);
+                }
+                if self.wants(*b) {
+                    let gb = up.mul(&self.nodes[a.idx].value);
+                    self.accumulate(*b, gb);
+                }
             }
             Op::Scale(a, s) => {
                 self.accumulate(*a, up.scale(*s));
@@ -534,28 +655,39 @@ impl Tape {
                 self.accumulate(*a, up.clone());
             }
             Op::AddRowBroadcast(a, bias) => {
-                self.accumulate(*a, up.clone());
-                self.accumulate(*bias, up.sum_cols());
+                if self.wants(*a) {
+                    self.accumulate(*a, up.clone());
+                }
+                if self.wants(*bias) {
+                    self.accumulate(*bias, up.sum_cols());
+                }
             }
             Op::MulRowBroadcast(a, w) => {
-                let ga = up.mul_row_broadcast(&self.nodes[w.idx].value);
-                let gw = up.mul(&self.nodes[a.idx].value).sum_cols();
-                self.accumulate(*a, ga);
-                self.accumulate(*w, gw);
+                if self.wants(*a) {
+                    let ga = up.mul_row_broadcast(&self.nodes[w.idx].value);
+                    self.accumulate(*a, ga);
+                }
+                if self.wants(*w) {
+                    let gw = up.mul(&self.nodes[a.idx].value).sum_cols();
+                    self.accumulate(*w, gw);
+                }
             }
             Op::MulColBroadcast(a, w) => {
-                let x = &self.nodes[a.idx].value;
-                let col = &self.nodes[w.idx].value;
-                let mut ga = up.clone();
-                for r in 0..ga.rows() {
-                    let s = col.get(r, 0);
-                    for v in ga.row_mut(r) {
-                        *v *= s;
+                if self.wants(*a) {
+                    let col = &self.nodes[w.idx].value;
+                    let mut ga = up.clone();
+                    for r in 0..ga.rows() {
+                        let s = col.get(r, 0);
+                        for v in ga.row_mut(r) {
+                            *v *= s;
+                        }
                     }
+                    self.accumulate(*a, ga);
                 }
-                let gw = up.mul(x).sum_rows();
-                self.accumulate(*a, ga);
-                self.accumulate(*w, gw);
+                if self.wants(*w) {
+                    let gw = up.mul(&self.nodes[a.idx].value).sum_rows();
+                    self.accumulate(*w, gw);
+                }
             }
             Op::Sigmoid(a) => {
                 let y = &self.nodes[i].value;
@@ -579,7 +711,7 @@ impl Tape {
             }
             Op::SoftmaxRows(a) => {
                 // Per row: dx = y ⊙ (du − ⟨du, y⟩)
-                let y = self.nodes[i].value.clone();
+                let y = &self.nodes[i].value;
                 let mut g = Matrix::zeros(y.rows(), y.cols());
                 for r in 0..y.rows() {
                     let yr = y.row(r);
@@ -616,8 +748,10 @@ impl Tape {
                 let mut start = 0;
                 for p in parts {
                     let w = self.nodes[p.idx].value.cols();
-                    let g = up.slice_cols(start, start + w);
-                    self.accumulate(*p, g);
+                    if self.wants(*p) {
+                        let g = up.slice_cols(start, start + w);
+                        self.accumulate(*p, g);
+                    }
                     start += w;
                 }
             }
@@ -625,8 +759,10 @@ impl Tape {
                 let mut start = 0;
                 for p in parts {
                     let h = self.nodes[p.idx].value.rows();
-                    let g = up.slice_rows(start, start + h);
-                    self.accumulate(*p, g);
+                    if self.wants(*p) {
+                        let g = up.slice_rows(start, start + h);
+                        self.accumulate(*p, g);
+                    }
                     start += h;
                 }
             }
@@ -765,7 +901,54 @@ mod tests {
         let loss = tape.sum_all(c);
         tape.backward(loss, &mut store);
         assert!(store.is_empty());
-        assert_eq!(tape.grad(c).as_slice(), &[1.0, 1.0]);
+        // No parameter reaches the loss, so nothing gets a gradient.
+        assert_eq!(tape.node_grad_shape(c.index()), None);
+        assert_eq!(tape.node_grad_shape(loss.index()), None);
+        assert_eq!(tape.grad_bytes(), 0);
+    }
+
+    #[test]
+    fn weight_bindings_send_their_gradient_straight_to_the_store() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        let u = store.add("u", Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.25]]));
+        let mut tape = Tape::new();
+        let x = tape.constant(Matrix::from_rows(&[&[1.0, -1.0], &[2.0, 0.5]]));
+        let wv = tape.param(&store, w); // right operand of one matmul
+        let h = tape.matmul(x, wv);
+        let uv = tape.param(&store, u); // used twice
+        let hu = tape.matmul(h, uv);
+        let s = tape.mul(hu, uv);
+        let loss = tape.sum_all(s);
+        tape.backward(loss, &mut store);
+
+        assert_eq!(tape.node_grad_shape(x.index()), None, "constant");
+        assert_eq!(tape.node_grad_shape(wv.index()), None, "weight binding");
+        assert_eq!(tape.node_grad_shape(uv.index()), Some((2, 2)));
+        assert_eq!(tape.node_grad_shape(h.index()), Some((2, 2)));
+        // The backward rules, in the sweep's order: dL/dw = xᵀ·dL/dh.
+        let u_val = store.value(u);
+        let up_h = Matrix::ones(2, 2).mul(u_val).matmul_bt(u_val);
+        let want = tape.value(x).matmul_at(&up_h);
+        assert_eq!(store.grad(w), &want);
+    }
+
+    #[test]
+    fn bindings_share_the_store_value_until_it_changes() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Matrix::ones(2, 2));
+        let mut tape = Tape::new();
+        let c = tape.constant(Matrix::ones(1, 2));
+        let wv = tape.param(&store, w);
+        assert_eq!(tape.value_bytes(), 2 * 4, "the binding owns no buffer");
+        store.value_mut(w).as_mut_slice()[0] = 7.0;
+        assert_eq!(
+            tape.value(wv).get(0, 0),
+            1.0,
+            "the tape keeps what it bound"
+        );
+        let h = tape.matmul(c, wv);
+        assert_eq!(tape.value(h).as_slice(), &[2.0, 2.0]);
     }
 
     #[test]

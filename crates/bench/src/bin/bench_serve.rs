@@ -184,8 +184,17 @@ fn main() {
     );
 
     // Train the checkpoint artifact the server hot-loads from — the
-    // same `Checkpointer` v2 format the training loop writes.
+    // same `Checkpointer` v2 format the training loop writes. A leftover
+    // artifact would be resumed instead, and `train_ms` would time the
+    // resume rather than a fit.
     let ckpt = out_dir.join("serve.ckpt");
+    if let Err(e) = std::fs::remove_file(&ckpt) {
+        assert!(
+            e.kind() == std::io::ErrorKind::NotFound,
+            "remove leftover {}: {e}",
+            ckpt.display()
+        );
+    }
     let span = Span::enter("bench_serve.train");
     train_artifact(&serve_cfg, &ckpt).expect("train serve artifact");
     let train_ms = span.finish().as_secs_f64() * 1e3;

@@ -13,6 +13,10 @@
 //! a future op with a stop-gradient semantics (or a new op added without
 //! thinking about the analyses at all) is a compile error here, not a
 //! silent gap.
+//!
+//! [`gradient_holders`] narrows that cone to the nodes `Tape::backward`
+//! actually leaves a gradient on: it skips constants and weight
+//! bindings.
 
 use rapid_autograd::op::Op;
 use rapid_autograd::{Tape, Var};
@@ -87,8 +91,8 @@ impl std::fmt::Display for DeadParam {
 pub struct GradFlowReport {
     /// The loss node the sweep started from.
     pub root: usize,
-    /// Nodes in the backward cone (ancestors of the root, root included):
-    /// exactly the nodes `Tape::backward` will touch.
+    /// Nodes in the backward cone (ancestors of the root, root
+    /// included): the recorded work that can influence the loss.
     pub live_nodes: usize,
     /// Distinct parameters with at least one binding inside the cone.
     pub trained_params: usize,
@@ -156,6 +160,49 @@ pub fn backward_cone(tape: &Tape, root: usize) -> Vec<bool> {
         }
     }
     cone
+}
+
+/// The nodes `Tape::backward` from `root` leaves a gradient on:
+/// `holds[i]` is `true` iff node `i` is in the [`backward_cone`], some
+/// parameter reaches it (it is a parameter leaf or has a parent that
+/// some parameter reaches), and it is not a *weight binding*. A weight
+/// binding is a parameter leaf whose one use on the whole tape is as the
+/// right operand of a matmul; backward sends its gradient straight to
+/// the store.
+///
+/// # Panics
+/// Panics if `root` is out of range.
+pub fn gradient_holders(tape: &Tape, root: usize) -> Vec<bool> {
+    let n = tape.len();
+    let cone = backward_cone(tape, root);
+    let mut reached = vec![false; n];
+    let mut uses = vec![0usize; n];
+    let mut rhs = vec![false; n];
+    for i in 0..n {
+        let op = tape.node_op(i);
+        reached[i] = tape.node_param(i).is_some();
+        for p in gradient_parents(op) {
+            if p.index() < i {
+                reached[i] |= reached[p.index()];
+            }
+        }
+        for p in op.parents() {
+            if p.index() < i {
+                uses[p.index()] += 1;
+            }
+        }
+        if let Op::MatMul(_, b) = op {
+            if b.index() < i {
+                rhs[b.index()] = true;
+            }
+        }
+    }
+    (0..n)
+        .map(|i| {
+            let weight = tape.node_param(i).is_some() && uses[i] == 1 && rhs[i];
+            cone[i] && reached[i] && !weight
+        })
+        .collect()
 }
 
 /// Runs the gradient-flow analysis from loss node `root`.
@@ -347,27 +394,35 @@ mod tests {
     }
 
     #[test]
-    fn cone_matches_backward_grad_allocation() {
-        // The static cone must be exactly the set of nodes `backward`
-        // allocates gradients for.
+    fn holders_match_backward_grad_allocation() {
+        // The static prediction must be exactly the set of nodes
+        // `backward` allocates gradients for.
         let mut store = ParamStore::new();
         let w = store.add("w", Matrix::ones(2, 2));
+        let v = store.add("v", Matrix::ones(2, 2));
         let mut tape = Tape::new();
-        let x = tape.constant(Matrix::ones(1, 2));
-        let wv = tape.param(&store, w);
+        let x = tape.constant(Matrix::ones(1, 2)); // in the cone, constant
+        let wv = tape.param(&store, w); // weight binding
         let h = tape.matmul(x, wv);
         let _detached = tape.relu(h); // recorded, not consumed by the loss
-        let s = tape.sigmoid(h);
+        let vv = tape.param(&store, v); // used twice: holds a gradient
+        let hv = tape.matmul(h, vv);
+        let hv = tape.matmul(hv, vv);
+        let s = tape.sigmoid(hv);
         let loss = tape.sum_all(s);
         let cone = backward_cone(&tape, loss.index());
+        let holds = gradient_holders(&tape, loss.index());
         tape.backward(loss, &mut store);
-        for (i, &in_cone) in cone.iter().enumerate() {
+        for (i, &held) in holds.iter().enumerate() {
             assert_eq!(
-                in_cone,
+                held,
                 tape.node_grad_shape(i).is_some(),
                 "node {i} ({})",
                 op_name(tape.node_op(i))
             );
         }
+        assert!(cone[x.index()] && !holds[x.index()]);
+        assert!(cone[wv.index()] && !holds[wv.index()]);
+        assert!(holds[vv.index()]);
     }
 }

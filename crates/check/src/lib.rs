@@ -73,7 +73,8 @@ pub use audit::{
     audit_tape, compare_with_golden, parse_ndjson, render_table, to_ndjson, ModelAudit,
 };
 pub use dataflow::{
-    analyze_gradient_flow, backward_cone, gradient_parents, DeadParam, GradFlowReport,
+    analyze_gradient_flow, backward_cone, gradient_holders, gradient_parents, DeadParam,
+    GradFlowReport,
 };
 pub use graph::{check_tape, GraphError, GraphReport, TapeCheck};
 pub use lint::{lint_source, lint_workspace, Finding};

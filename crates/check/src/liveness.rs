@@ -9,10 +9,13 @@
 //!   the direct input spec for the planned bump-arena tape (ROADMAP
 //!   open item 2);
 //! * the **training peak**: what forward + backward costs on today's
-//!   tape, which retains every value and lazily allocates a gradient
-//!   for exactly the backward cone of the loss. `Tape::value_bytes() +
-//!   Tape::grad_bytes()` measured after a real backward pass must come
-//!   in at or under this bound (asserted by the validation tests);
+//!   tape, which retains every value and allocates a gradient for
+//!   exactly the nodes [`gradient_holders`] reports. Values are counted
+//!   by shape, parameter bindings included, although the tape shares
+//!   those with the store; so `Tape::value_bytes() +
+//!   Tape::grad_bytes()` measured after a real backward pass comes in
+//!   at or under this bound, and the gradient part matches exactly
+//!   (asserted by the validation tests);
 //! * the **releasable** bytes: values no backward rule ever reads
 //!   (checked per-op via [`backward_reads`]), which an arena could drop
 //!   at the end of the forward pass even when a backward pass follows.
@@ -24,7 +27,7 @@
 use rapid_autograd::op::Op;
 use rapid_autograd::Tape;
 
-use crate::dataflow::backward_cone;
+use crate::dataflow::{backward_cone, gradient_holders};
 
 /// Which recorded buffers an op's backward rule reads (besides the
 /// upstream gradient).
@@ -107,10 +110,10 @@ pub struct MemoryReport {
     /// Greedy exact-size buffer-reuse plan achieving that schedule.
     pub plan: BufferPlan,
     /// Gradient bytes a backward pass from `root` allocates (one buffer
-    /// per backward-cone node).
+    /// per node [`gradient_holders`] reports).
     pub grad_bytes: usize,
     /// Static bound for forward + backward on today's retain-everything
-    /// tape: all values plus the cone's gradients.
+    /// tape: all values plus the held gradients.
     pub train_peak_bytes: usize,
     /// Value bytes no backward rule reads (droppable at the end of the
     /// forward pass even when training).
@@ -142,8 +145,9 @@ fn bytes_of(shape: (usize, usize)) -> usize {
 }
 
 /// Runs the liveness analysis with the loss/output at node `root`
-/// (gradient accounting uses `root`'s backward cone; the final tape node
-/// is pinned live through the forward pass as the graph's output).
+/// (gradient accounting uses [`gradient_holders`] from `root`; the final
+/// tape node is pinned live through the forward pass as the graph's
+/// output).
 ///
 /// # Panics
 /// Panics if the tape is empty or `root` is out of range.
@@ -202,8 +206,9 @@ pub fn analyze_liveness(tape: &Tape, root: usize) -> MemoryReport {
 
     // Backward accounting from `root`.
     let cone = backward_cone(tape, root);
+    let holds = gradient_holders(tape, root);
     let grad_bytes: usize = (0..n)
-        .filter(|&i| cone[i])
+        .filter(|&i| holds[i])
         .map(|i| bytes_of(tape.node_shape(i)))
         .sum();
     let total_value_bytes: usize = (0..n).map(|i| bytes_of(tape.node_shape(i))).sum();
@@ -290,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_bytes_cover_exactly_the_cone() {
+    fn grad_bytes_cover_exactly_the_held_gradients() {
         let mut store = ParamStore::new();
         let w = store.add("w", Matrix::ones(4, 4));
         let mut tape = Tape::new();
@@ -300,16 +305,17 @@ mod tests {
         let _dead = tape.constant(Matrix::ones(8, 8)); // outside the cone
         let loss = tape.sum_all(h);
         let m = analyze_liveness(&tape, loss.index());
-        // x (1x4) + w (4x4) + h (1x4) + loss (1x1), 4 bytes each.
-        let cone_bytes = (4 + 16 + 4 + 1) * 4;
-        assert_eq!(m.grad_bytes, cone_bytes);
-        assert_eq!(m.train_peak_bytes, m.total_value_bytes + cone_bytes);
+        // h (1x4) + loss (1x1), 4 bytes each: x is a constant and w a
+        // weight binding, whose gradient goes straight to the store.
+        let held_bytes = (4 + 1) * 4;
+        assert_eq!(m.grad_bytes, held_bytes);
+        assert_eq!(m.train_peak_bytes, m.total_value_bytes + held_bytes);
 
         // Measured allocations after a real backward stay within bounds.
         tape.backward(loss, &mut store);
         let measured = tape.value_bytes() + tape.grad_bytes();
         assert!(measured <= m.train_peak_bytes);
-        assert_eq!(tape.grad_bytes(), cone_bytes);
+        assert_eq!(tape.grad_bytes(), held_bytes);
     }
 
     #[test]

@@ -18,14 +18,20 @@ fn dim(rng: &mut StdRng) -> usize {
 /// Grows `tape` by one random op over existing nodes (same construction
 /// as the shape proptest, minus ops whose backward the random values
 /// could make non-finite is not a concern here — values are zeros).
-fn push_random_op(tape: &mut Tape, rng: &mut StdRng) {
+/// A matmul's right operand is a constant or a fresh parameter binding.
+fn push_random_op(tape: &mut Tape, store: &mut ParamStore, rng: &mut StdRng) {
     let pick = rng.gen_range(0..tape.len());
     let a = tape.var_at(pick);
     let (r, c) = tape.node_shape(pick);
     match rng.gen_range(0..12u32) {
         0 => {
             let k = dim(rng);
-            let b = tape.constant(Matrix::zeros(c, k));
+            let b = if rng.gen() {
+                let w = store.add("w", Matrix::zeros(c, k));
+                tape.param(store, w)
+            } else {
+                tape.constant(Matrix::zeros(c, k))
+            };
             tape.matmul(a, b)
         }
         1 => tape.transpose(a),
@@ -87,7 +93,7 @@ fn random_graph(rng: &mut StdRng, extra: usize) -> (Tape, ParamStore) {
         tape.constant(Matrix::zeros(r, c));
     }
     for _ in 0..extra {
-        push_random_op(&mut tape, rng);
+        push_random_op(&mut tape, &mut store, rng);
     }
     (tape, store)
 }
@@ -138,7 +144,7 @@ fn plan_is_sound_and_peaks_bound_reality_on_random_graphs() {
         }
 
         // Backward on the real tape stays within the static bound, and
-        // the gradient bytes match the cone exactly.
+        // the gradient bytes match the predicted holders exactly.
         tape.backward(loss, &mut store);
         let measured = tape.value_bytes() + tape.grad_bytes();
         assert!(
@@ -154,10 +160,10 @@ fn plan_is_sound_and_peaks_bound_reality_on_random_graphs() {
 fn forward_peak_is_monotone_under_adding_nodes() {
     run_cases("liveness_peak_monotone", |rng| {
         let extra = rng.gen_range(1..10usize);
-        let (mut tape, _store) = random_graph(rng, extra);
+        let (mut tape, mut store) = random_graph(rng, extra);
         let mut before = analyze_liveness(&tape, tape.len() - 1);
         for _ in 0..rng.gen_range(1..6usize) {
-            push_random_op(&mut tape, rng);
+            push_random_op(&mut tape, &mut store, rng);
             let after = analyze_liveness(&tape, tape.len() - 1);
             assert!(
                 after.fwd_peak_bytes >= before.fwd_peak_bytes,

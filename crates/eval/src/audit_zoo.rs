@@ -13,7 +13,7 @@
 //! committed golden report under `results/` only changes when a model's
 //! recorded graph genuinely changes.
 
-use rapid_autograd::Tape;
+use rapid_autograd::{Tape, Var};
 use rapid_check::{audit_tape, ModelAudit, TapeCheck};
 use rapid_data::{generate, DataConfig, Dataset, Flavor};
 use rapid_rerankers::{PreparedList, RerankInput};
@@ -53,15 +53,16 @@ pub fn audit_list(ds: &Dataset) -> PreparedList {
     )
 }
 
-/// Records and audits every neural model in the full + ablation
+/// Records the loss graph of every neural model in the full + ablation
 /// line-ups (deduplicated by display name — `RAPID-det`/`RAPID-pro`
-/// appear in both). Heuristics record no graph and are skipped.
+/// appear in both), as `(name, tape, loss node)`. Heuristics record no
+/// graph and are skipped.
 ///
 /// # Panics
 /// Panics if a model records a structurally invalid graph — the audit
 /// assumes `check_tape`-validated input, and an invalid zoo graph is a
 /// bug the build must surface.
-pub fn run_zoo_audit() -> Vec<ModelAudit> {
+pub fn record_zoo_graphs() -> Vec<(&'static str, Tape, Var)> {
     let ds = audit_dataset();
     let prep = audit_list(&ds);
     let mut lineup = full_lineup(&ds, AUDIT_HIDDEN, 1, AUDIT_SEED);
@@ -71,7 +72,7 @@ pub fn run_zoo_audit() -> Vec<ModelAudit> {
         }
     }
 
-    let mut audits = Vec::new();
+    let mut graphs = Vec::new();
     for model in &lineup {
         let mut tape = Tape::new();
         let Some(loss) = model.record_loss_graph(&ds, &prep, &mut tape) else {
@@ -79,15 +80,67 @@ pub fn run_zoo_audit() -> Vec<ModelAudit> {
         };
         tape.check()
             .unwrap_or_else(|e| panic!("{}: invalid graph: {}", model.name(), e[0]));
-        audits.push(audit_tape(model.name(), &tape, loss.index()));
+        graphs.push((model.name(), tape, loss));
     }
-    audits
+    graphs
+}
+
+/// Records and audits every neural model (see [`record_zoo_graphs`]).
+pub fn run_zoo_audit() -> Vec<ModelAudit> {
+    record_zoo_graphs()
+        .iter()
+        .map(|(name, tape, loss)| audit_tape(name, tape, loss.index()))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rapid_check::{compare_with_golden, parse_ndjson, to_ndjson};
+    use rapid_autograd::ParamStore;
+    use rapid_check::{
+        analyze_liveness, compare_with_golden, gradient_holders, parse_ndjson, to_ndjson,
+    };
+    use rapid_tensor::Matrix;
+
+    /// A store with one zero parameter per id the tape binds, shaped like
+    /// its binding, so `backward` runs on a recorded graph without the
+    /// model's private store (backward reads only the tape's values).
+    fn shadow_store(tape: &Tape) -> ParamStore {
+        let mut shapes: Vec<(usize, usize)> = Vec::new();
+        for i in 0..tape.len() {
+            if let Some(id) = tape.node_param(i) {
+                if shapes.len() <= id.index() {
+                    shapes.resize(id.index() + 1, (1, 1));
+                }
+                shapes[id.index()] = tape.node_shape(i);
+            }
+        }
+        let mut store = ParamStore::new();
+        for (k, (r, c)) in shapes.into_iter().enumerate() {
+            store.add(format!("param#{k}"), Matrix::zeros(r, c));
+        }
+        store
+    }
+
+    #[test]
+    fn backward_leaves_gradients_exactly_where_the_analyzer_predicts() {
+        for (name, mut tape, loss) in record_zoo_graphs() {
+            let holds = gradient_holders(&tape, loss.index());
+            let predicted_bytes = analyze_liveness(&tape, loss.index()).grad_bytes;
+            let mut store = shadow_store(&tape);
+            tape.backward(loss, &mut store);
+            for (i, &held) in holds.iter().enumerate() {
+                assert_eq!(
+                    held,
+                    tape.node_grad_shape(i).is_some(),
+                    "{name}: node {i} ({})",
+                    tape.node_op(i).tag()
+                );
+            }
+            assert_eq!(tape.grad_bytes(), predicted_bytes, "{name}: gradient bytes");
+            assert!(holds.iter().any(|&h| h), "{name}: no gradient held");
+        }
+    }
 
     #[test]
     fn zoo_audit_covers_every_neural_model_and_is_deterministic() {

@@ -127,11 +127,7 @@ impl Pipeline {
             .rerank_train
             .iter()
             .map(|req| {
-                let items = ranker.rank(&ds, req);
-                let init_scores: Vec<f32> = items
-                    .iter()
-                    .map(|&v| ranker.score(&ds, req.user, v))
-                    .collect();
+                let (items, init_scores) = ranker.rank_scored(&ds, req).into_iter().unzip();
                 let input = RerankInput {
                     user: req.user,
                     items,
@@ -149,11 +145,7 @@ impl Pipeline {
         let mut test_inputs = Vec::with_capacity(ds.test.len());
         let mut logged_clicks = Vec::with_capacity(ds.test.len());
         for req in &ds.test {
-            let items = ranker.rank(&ds, req);
-            let init_scores: Vec<f32> = items
-                .iter()
-                .map(|&v| ranker.score(&ds, req.user, v))
-                .collect();
+            let (items, init_scores) = ranker.rank_scored(&ds, req).into_iter().unzip();
             let input = RerankInput {
                 user: req.user,
                 items,

@@ -211,13 +211,6 @@ impl InitialRanker for Din {
         tape.value(logits).get(0, 0)
     }
 
-    fn rank(&self, ds: &Dataset, req: &Request) -> Vec<ItemId> {
-        let scores = self.score_request(ds, req);
-        let mut order: Vec<(ItemId, f32)> = req.candidates.iter().copied().zip(scores).collect();
-        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        order.into_iter().map(|(v, _)| v).collect()
-    }
-
     fn scores(&self, ds: &Dataset, req: &Request) -> Vec<f32> {
         self.score_request(ds, req)
     }

@@ -11,16 +11,26 @@ pub trait InitialRanker {
     /// Pointwise relevance score; higher ranks earlier.
     fn score(&self, ds: &Dataset, user: UserId, item: ItemId) -> f32;
 
-    /// Orders the request's candidates by descending score (stable
-    /// total-order tie-break by item id so ranking is deterministic).
-    fn rank(&self, ds: &Dataset, req: &Request) -> Vec<ItemId> {
+    /// The initial list with each item's score, from one
+    /// [`InitialRanker::scores`] call: candidates by descending score,
+    /// ties broken by item id so ranking is deterministic.
+    fn rank_scored(&self, ds: &Dataset, req: &Request) -> Vec<(ItemId, f32)> {
         let mut scored: Vec<(ItemId, f32)> = req
             .candidates
             .iter()
-            .map(|&v| (v, self.score(ds, req.user, v)))
+            .copied()
+            .zip(self.scores(ds, req))
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.into_iter().map(|(v, _)| v).collect()
+        scored
+    }
+
+    /// The items of [`InitialRanker::rank_scored`].
+    fn rank(&self, ds: &Dataset, req: &Request) -> Vec<ItemId> {
+        self.rank_scored(ds, req)
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect()
     }
 
     /// Scores every candidate of a request, in candidate order.

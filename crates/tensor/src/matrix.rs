@@ -5,8 +5,9 @@ use std::fmt;
 /// A dense, row-major `f32` matrix.
 ///
 /// This is the single numeric container used throughout the workspace.
-/// Element `(r, c)` lives at `data[r * cols + c]`.
-#[derive(Clone, PartialEq)]
+/// Element `(r, c)` lives at `data[r * cols + c]`. The default is the
+/// empty `0 x 0` matrix.
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -137,6 +138,14 @@ impl Matrix {
     /// Consumes the matrix and returns the backing buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
+    }
+
+    /// Reshapes `self` to `rows x cols` zeros, reusing its buffer.
+    pub(crate) fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Element at `(r, c)`.

@@ -53,6 +53,17 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.rows() != other.rows()`.
     pub fn matmul_at(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_at_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_at`] written into `out`, whose buffer is reused.
+    /// The result is bit-identical to `matmul_at`'s.
+    ///
+    /// # Panics
+    /// Panics if `self.rows() != other.rows()`.
+    pub fn matmul_at_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows(),
             other.rows(),
@@ -62,8 +73,7 @@ impl Matrix {
             other.rows(),
             other.cols()
         );
-        let (n, m) = (self.cols(), other.cols());
-        let mut out = Matrix::zeros(n, m);
+        out.reset_zeros(self.cols(), other.cols());
         for p in 0..self.rows() {
             let a_row = self.row(p);
             let b_row = other.row(p);
@@ -78,7 +88,6 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// `self * otherᵀ` without materialising the transpose.
